@@ -10,11 +10,10 @@
 //
 // The second half reports what the placement layer does with the detected
 // topology: pb_symbolic's bin→home-node partition (contiguous,
-// flop-balanced) and a pipelined PB squaring through
-// PbWorkspace::place_bins, whose tuple pool is first-touched bin-by-bin on
-// each bin's home node.  On one node the partition is all zeros and
-// place_bins degenerates to a parallel pre-fault — the multiply still
-// validates the path end to end.
+// flop-balanced) and a PB squaring through PbWorkspace::place_bins, whose
+// tuple pool is first-touched bin-by-bin on each bin's home node.  On one
+// node the partition is all zeros and place_bins degenerates to a
+// parallel pre-fault — the multiply still validates the path end to end.
 //
 //   ./bench_table7_numa [--mb N] [--reps R] [--hops H] [--scale S]
 //                       [--json out.json]
@@ -113,15 +112,11 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  // Exercise place_bins through the pipelined schedule (its acquire path
+  // Exercise place_bins through a default PB squaring (its acquire path
   // first-touches the pool bin-by-bin on each bin's home node).
-  pb::PbConfig cfg;
-  cfg.schedule = pb::PbSchedule::kPipeline;
-  const pb::PbResult placed = pb::pb_spgemm(a_csc, a, cfg);
-  std::cout << "# pipelined squaring through place_bins: "
-            << placed.stats.mflops() << " MFLOPS, numeric wall "
-            << placed.stats.wall_seconds * 1e3 << " ms, overlap hidden "
-            << placed.stats.overlap_seconds() * 1e3 << " ms\n";
+  const pb::PbResult placed = pb::pb_spgemm(a_csc, a);
+  std::cout << "# squaring through place_bins: " << placed.stats.mflops()
+            << " MFLOPS\n";
 
   bench::JsonSink json(args);
   if (json.enabled()) {
@@ -140,10 +135,7 @@ int main(int argc, char** argv) {
                  .field("nbins", static_cast<std::int64_t>(sym.layout.nbins))
                  .field("bin_home_nodes",
                         static_cast<std::int64_t>(sym.numa_nodes))
-                 .field("pipelined_mflops", placed.stats.mflops())
-                 .field("numeric_wall_ms", placed.stats.wall_seconds * 1e3)
-                 .field("overlap_hidden_ms",
-                        placed.stats.overlap_seconds() * 1e3));
+                 .field("placed_mflops", placed.stats.mflops()));
   }
   return 0;
 }

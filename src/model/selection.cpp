@@ -99,7 +99,6 @@ AlgoChoice select_algorithm(double cf, nnz_t flop, bool hash_available,
                                        m.bytes_per_nnz)
               : ai_column_lower(choice.cf, m.bytes_per_nnz);
 
-  const double pb_eff = m.effective_pb_efficiency();
   // Accumulator reuse is flop per surviving output entry, so the latency
   // derating runs on cf_out (== cf unmasked).
   const double col_eff = choice.cf_out / (choice.cf_out + m.column_latency_penalty);
@@ -113,8 +112,8 @@ AlgoChoice select_algorithm(double cf, nnz_t flop, bool hash_available,
       mask.kept_density <= m.expand_mask_density_max) {
     expand_mask_credit = 1.0 / std::clamp(mask.kept_density, 1e-9, 1.0);
   }
-  choice.pb_mflops = attainable_gflops(m.beta_gbs, choice.ai_outer) * pb_eff *
-                     1e3 * expand_mask_credit;
+  choice.pb_mflops = attainable_gflops(m.beta_gbs, choice.ai_outer) *
+                     m.pb_efficiency * 1e3 * expand_mask_credit;
   // In nominal-flop terms the column family is credited the wedges its
   // masked row loops never execute (1/coverage ≥ 1; exactly 1 unmasked).
   choice.column_mflops = attainable_gflops(m.beta_gbs, choice.ai_column) *
@@ -130,7 +129,7 @@ AlgoChoice select_algorithm(double cf, nnz_t flop, bool hash_available,
   if (effective_flop < m.small_flop_threshold) {
     choice.algo = "heap";
     why << "flop " << effective_flop << " < " << m.small_flop_threshold
-        << ": pipeline setup would dominate; low-overhead heap";
+        << ": PB setup would dominate; low-overhead heap";
   } else if (choice.pb_mflops >= choice.column_mflops) {
     choice.algo = "pb";
     why << "cf " << choice.cf << ": derated outer bound " << choice.pb_mflops

@@ -95,29 +95,11 @@ struct SelectionModel {
   /// near-STREAM bandwidth regardless of cf).
   double pb_efficiency = 0.85;
 
-  /// Multiplier on pb_efficiency when the pipelined schedule will run
-  /// (pb::PbSchedule::kPipeline resolved for the execution's thread
-  /// count): per-bin dataflow hides the fork-join tails and sorts bins
-  /// cache-hot, recovering a slice of the barrier schedule's idle time.
-  /// The product is capped at 0.98 — no schedule streams above the
-  /// machine.  Callers set pipelined_schedule; the default (false) keeps
-  /// every existing selection bit-identical.
-  double pb_pipeline_boost = 1.06;
-  bool pipelined_schedule = false;
-
-  /// pb_efficiency with the schedule term applied — what
-  /// select_algorithm actually derates PB's bound by.
-  [[nodiscard]] double effective_pb_efficiency() const {
-    const double e =
-        pipelined_schedule ? pb_efficiency * pb_pipeline_boost : pb_efficiency;
-    return e < 0.98 ? e : 0.98;
-  }
-
   /// Gustavson efficiency model cf/(cf + penalty): latency-bound hash
   /// probes at low cf, approaching the bound as reuse grows.
   double column_latency_penalty = 2.3;
 
-  /// Below this flop count pipeline setup (binning, parallel regions)
+  /// Below this flop count PB setup (binning, parallel regions)
   /// dominates any bandwidth advantage; pick the low-overhead heap.
   nnz_t small_flop_threshold = 32768;
 

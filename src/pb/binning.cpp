@@ -31,15 +31,6 @@ int BinLayout::binid(index_t row) const {
   return 0;
 }
 
-const char* to_string(PbSchedule s) {
-  switch (s) {
-    case PbSchedule::kAuto: return "auto";
-    case PbSchedule::kBarrier: return "barrier";
-    case PbSchedule::kPipeline: return "pipeline";
-  }
-  return "?";
-}
-
 const char* to_string(FormatPolicy p) {
   switch (p) {
     case FormatPolicy::kAuto: return "auto";

@@ -29,8 +29,8 @@ namespace pbs::pb {
 /// its scatter loop (ExpandMaskMode): forced by kOn, and under kAuto
 /// engaged when the kept-side density — nnz(mask)/cells, complement-
 /// flipped — is at most cfg.expand_mask_max_density.  A per-run decision:
-/// the mask is run state, never plan state, so both schedule drivers call
-/// this with the mask actually passed to pb_execute.
+/// the mask is run state, never plan state, so pb_execute calls this with
+/// the mask actually passed to it.
 inline bool engage_expand_mask(const MaskSpec& mask, const PbConfig& cfg,
                                index_t nrows, index_t ncols) {
   if (!mask.active() || cfg.expand_mask == ExpandMaskMode::kOff) return false;

@@ -87,180 +87,132 @@ index_t fast_local_row(const BinLayout& layout, int bin, index_t row,
   }
 }
 
-// Flush sink: the team-callable expand bodies below notify it after every
-// completed flush_copy — `sink.flushed(bin, count)` with the data already
-// written to the bin's global region.  The barrier schedule plugs in this
-// no-op (compiled away); the pipelined schedule's sink advances the bin's
-// done-counter and, on completion, publishes the bin to a work-stealing
-// deque (pipeline_impl.hpp).
-//
-// With an active expand-phase mask (emask), tuples the mask rejects are
-// never buffered — the bodies instead batch per-bin *skip credits* and
-// report them through `sink.skipped(bin, count)`.  A bin's done-counter
-// thus still converges to its symbolic fill mark (flushed + skipped ==
-// flop), so pipelined bin-completion detection is untouched; only the
-// write cursor falls short of the mark, and the caller reads the cursors
-// back as the bins' actual generated fills.  Credits ride the flush cycle
-// (plus a final drain) rather than hitting the sink per tuple.
-struct NullFlushSink {
-  void flushed(std::size_t /*bin*/, int /*count*/) {}
-  void skipped(std::size_t /*bin*/, nnz_t /*count*/) {}
-};
-
-// The per-(output row, B row) mask merge used by all four team bodies: the
-// B row's columns and the mask row's columns are both ascending, so one
-// forward scan of the mask row per pair decides every candidate tuple.
-// Keep when membership != complement.  Returns via `emit(bi)` for kept
-// candidates and counts the rest.
+// The per-(output row, B row) mask merge used by all four expand kernels:
+// the B row's columns and the mask row's columns are both ascending, so
+// one forward scan of the mask row per pair decides every candidate
+// tuple.  Keep when membership != complement; kept candidates are passed
+// to `emit(bi)`.
 template <typename Emit>
-inline nnz_t masked_scan(std::span<const index_t> bcols,
-                         std::span<const index_t> mrow, bool complement,
-                         Emit&& emit) {
-  nnz_t skipped = 0;
+inline void masked_scan(std::span<const index_t> bcols,
+                        std::span<const index_t> mrow, bool complement,
+                        Emit&& emit) {
   std::size_t mi = 0;
   for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
     const index_t c = bcols[bi];
     while (mi < mrow.size() && mrow[mi] < c) ++mi;
     const bool in_mask = mi < mrow.size() && mrow[mi] == c;
-    if (in_mask == complement) {
-      ++skipped;
-      continue;
-    }
-    emit(bi);
+    if (in_mask != complement) emit(bi);
   }
-  return skipped;
 }
 
-// Team-callable wide expand: runs INSIDE an existing parallel region (every
-// thread of the team must call it — it contains an `omp for`).  `cursor`
-// is the shared per-bin write-cursor array, pre-seeded with the bin region
-// origins.  Returns this thread's flush count.
-template <BinPolicy P, typename S, typename Sink>
-nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
+// One write cursor per global bin, starting at the bin's region origin.
+inline std::vector<std::atomic<nnz_t>> bin_cursors(const SymbolicResult& sym) {
+  std::vector<std::atomic<nnz_t>> cursor(
+      static_cast<std::size_t>(sym.layout.nbins));
+  for (std::size_t bin = 0; bin < cursor.size(); ++bin)
+    cursor[bin].store(sym.bin_offsets[bin], std::memory_order_relaxed);
+  return cursor;
+}
+
+// After the expand region joins: reads each bin's cursor back as its
+// generated fill (`actual_fill`, when non-null) and, under cfg.validate,
+// checks it against the symbolic fill mark.  A masked scatter legitimately
+// stops short of the mark; an unmasked one must hit it exactly.  A
+// cancelled run leaves bins short, so it skips the check.
+inline void finish_expand(const std::vector<std::atomic<nnz_t>>& cursor,
+                          const SymbolicResult& sym, const PbConfig& cfg,
+                          const MaskSpec& emask, nnz_t* actual_fill,
+                          const char* who) {
+  const bool check = cfg.validate && !(cfg.cancel != nullptr &&
+                                       cfg.cancel->stop_requested_now());
+  for (std::size_t bin = 0; bin < cursor.size(); ++bin) {
+    const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
+    if (actual_fill != nullptr) actual_fill[bin] = end - sym.bin_offsets[bin];
+    const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
+    if (check && (emask.active() ? end > mark : end != mark)) {
+      throw std::logic_error(std::string(who) + ": bin " +
+                             std::to_string(bin) +
+                             " cursor does not meet its fill mark");
+    }
+  }
+}
+
+// Wide expand.  Each thread routes its columns' tuples through
+// thread-private local bins and flushes a full local bin to the global
+// bin's shared write cursor.  Returns the team's flush count.
+template <BinPolicy P, typename S>
+nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                   const SymbolicResult& sym, const PbConfig& cfg, Tuple* out,
-                  std::atomic<nnz_t>* cursor, Sink& sink,
-                  const MaskSpec& emask = {}) {
+                  const MaskSpec& emask, nnz_t* actual_fill) {
   const BinLayout& layout = sym.layout;
   const auto nbins = static_cast<std::size_t>(layout.nbins);
   const int cap =
       std::max<int>(1, cfg.local_bin_bytes / static_cast<int>(sizeof(Tuple)));
   const bool masked = emask.active();
-
-  // Thread-private local bins: nbins buffers of `cap` tuples in one
-  // contiguous allocation (paper: 1K bins x 512B fits comfortably in L2).
-  AlignedBuffer<Tuple> lbin(nbins * static_cast<std::size_t>(cap));
-  std::vector<int> lcnt(nbins, 0);
-  std::vector<nnz_t> lskip(masked ? nbins : 0, 0);
-  nnz_t flushes = 0;
-
-  auto flush = [&](std::size_t bin) {
-    const int count = lcnt[bin];
-    const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-    flush_copy(out + pos, lbin.data() + bin * static_cast<std::size_t>(cap),
-               count, cfg.streaming_stores);
-    lcnt[bin] = 0;
-    ++flushes;
-    sink.flushed(bin, count);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  };
-
-#pragma omp for schedule(guided) nowait
-  for (index_t i = 0; i < a.ncols; ++i) {
-    // Cooperative cancellation at column granularity (`break` is illegal
-    // in an omp for; skipped columns just leave their bins short, and the
-    // caller raises the typed error after the join).
-    if (stop_requested(cfg.cancel)) continue;
-    const auto arows = a.col_rows(i);
-    const auto avals = a.col_vals(i);
-    const auto bcols = b.row_cols(i);
-    const auto bvals = b.row_vals(i);
-    if (bcols.empty()) continue;
-
-    for (std::size_t ai = 0; ai < arows.size(); ++ai) {
-      const index_t r = arows[ai];
-      const value_t av = avals[ai];
-      const auto bin = static_cast<std::size_t>(fast_binid<P>(layout, r));
-      Tuple* lane = lbin.data() + bin * static_cast<std::size_t>(cap);
-      if (masked) {
-        const auto mrow = emask.csr->row_cols(r);
-        if (mrow.empty() && !emask.complement) {
-          // Empty mask row keeps nothing: the whole B row is skipped
-          // without touching the lane (the common case on sparse masks).
-          lskip[bin] += static_cast<nnz_t>(bcols.size());
-          continue;
-        }
-        lskip[bin] += masked_scan(bcols, mrow, emask.complement,
-                                  [&](std::size_t bi) {
-                                    if (lcnt[bin] == cap) flush(bin);
-                                    lane[lcnt[bin]++] =
-                                        Tuple{make_key(r, bcols[bi]),
-                                              S::mul(av, bvals[bi])};
-                                  });
-        continue;
-      }
-      for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
-        if (lcnt[bin] == cap) flush(bin);
-        lane[lcnt[bin]++] =
-            Tuple{make_key(r, bcols[bi]), S::mul(av, bvals[bi])};
-      }
-    }
-  }
-
-  // Drain the partially-filled local bins (Algorithm 2, lines 15-18), plus
-  // any skip credits batched for bins this thread never flushed again.
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    if (lcnt[bin] != 0) flush(bin);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  }
-  flush_fence();
-  return flushes;
-}
-
-template <BinPolicy P, typename S>
-nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                  const SymbolicResult& sym, const PbConfig& cfg, Tuple* out,
-                  const MaskSpec& emask, nnz_t* actual_fill) {
-  const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
-
-  // One write cursor per global bin, starting at the bin's region origin.
-  std::vector<std::atomic<nnz_t>> cursor(nbins);
-  for (std::size_t bin = 0; bin < nbins; ++bin)
-    cursor[bin].store(sym.bin_offsets[bin], std::memory_order_relaxed);
-
+  std::vector<std::atomic<nnz_t>> cursor = bin_cursors(sym);
   nnz_t flushes = 0;
 
 #pragma omp parallel reduction(+ : flushes)
   {
-    NullFlushSink sink;
-    flushes += expand_team<P, S>(a, b, sym, cfg, out, cursor.data(), sink,
-                                 emask);
-  }
+    // Thread-private local bins: nbins buffers of `cap` tuples in one
+    // contiguous allocation (paper: 1K bins x 512B fits comfortably in L2).
+    AlignedBuffer<Tuple> lbin(nbins * static_cast<std::size_t>(cap));
+    std::vector<int> lcnt(nbins, 0);
 
-  if (actual_fill != nullptr) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      actual_fill[bin] =
-          cursor[bin].load(std::memory_order_relaxed) - sym.bin_offsets[bin];
-    }
-  }
-  if (cfg.validate &&
-      !(cfg.cancel != nullptr && cfg.cancel->stop_requested_now())) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
-      const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
-      // A masked scatter legitimately stops short of the fill mark; an
-      // unmasked one must hit it exactly.
-      if (emask.active() ? end > mark : end != mark) {
-        throw std::logic_error("pb_expand: bin " + std::to_string(bin) +
-                               " cursor does not meet its fill mark");
+    auto flush = [&](std::size_t bin) {
+      const int count = lcnt[bin];
+      const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
+      flush_copy(out + pos, lbin.data() + bin * static_cast<std::size_t>(cap),
+                 count, cfg.streaming_stores);
+      lcnt[bin] = 0;
+      ++flushes;
+    };
+
+#pragma omp for schedule(guided) nowait
+    for (index_t i = 0; i < a.ncols; ++i) {
+      // Cooperative cancellation at column granularity (`break` is illegal
+      // in an omp for; skipped columns just leave their bins short, and the
+      // caller raises the typed error after the join).
+      if (stop_requested(cfg.cancel)) continue;
+      const auto arows = a.col_rows(i);
+      const auto avals = a.col_vals(i);
+      const auto bcols = b.row_cols(i);
+      const auto bvals = b.row_vals(i);
+      if (bcols.empty()) continue;
+
+      for (std::size_t ai = 0; ai < arows.size(); ++ai) {
+        const index_t r = arows[ai];
+        const value_t av = avals[ai];
+        const auto bin = static_cast<std::size_t>(fast_binid<P>(layout, r));
+        Tuple* lane = lbin.data() + bin * static_cast<std::size_t>(cap);
+        if (masked) {
+          const auto mrow = emask.csr->row_cols(r);
+          // Empty mask row keeps nothing: the whole B row is skipped
+          // without touching the lane (the common case on sparse masks).
+          if (mrow.empty() && !emask.complement) continue;
+          masked_scan(bcols, mrow, emask.complement, [&](std::size_t bi) {
+            if (lcnt[bin] == cap) flush(bin);
+            lane[lcnt[bin]++] =
+                Tuple{make_key(r, bcols[bi]), S::mul(av, bvals[bi])};
+          });
+          continue;
+        }
+        for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
+          if (lcnt[bin] == cap) flush(bin);
+          lane[lcnt[bin]++] =
+              Tuple{make_key(r, bcols[bi]), S::mul(av, bvals[bi])};
+        }
       }
     }
+
+    // Drain the partially-filled local bins (Algorithm 2, lines 15-18).
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
+      if (lcnt[bin] != 0) flush(bin);
+    }
+    flush_fence();
   }
+
+  finish_expand(cursor, sym, cfg, emask, actual_fill, "pb_expand");
   return flushes;
 }
 
@@ -270,13 +222,11 @@ nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 // 16.  The local-bin capacity is rounded to 16 tuples so a full flush is
 // whole cache lines on both streams (one 64 B key line per 16 tuples, two
 // value lines), keeping the non-temporal store path of flush_copy.
-// Team-callable; same contract as expand_team.
-template <BinPolicy P, typename S, typename Sink>
-nnz_t expand_narrow_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
+template <BinPolicy P, typename S>
+nnz_t expand_narrow_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                          const SymbolicResult& sym, const PbConfig& cfg,
                          narrow_key_t* out_keys, value_t* out_vals,
-                         std::atomic<nnz_t>* cursor, Sink& sink,
-                         const MaskSpec& emask = {}) {
+                         const MaskSpec& emask, nnz_t* actual_fill) {
   const BinLayout& layout = sym.layout;
   const auto nbins = static_cast<std::size_t>(layout.nbins);
   const int cap = std::max<int>(
@@ -286,131 +236,79 @@ nnz_t expand_narrow_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   const int mod_shift =
       layout.policy == BinPolicy::kModulo ? layout.modulo_shift() : 0;
   const bool masked = emask.active();
-
-  // All key lanes, then all value lanes (both line-aligned: cap is a
-  // multiple of 16, so each lane starts on a 64 B boundary).
-  AlignedBuffer<narrow_key_t> lkeys(nbins * static_cast<std::size_t>(cap));
-  AlignedBuffer<value_t> lvals(nbins * static_cast<std::size_t>(cap));
-  std::vector<int> lcnt(nbins, 0);
-  std::vector<nnz_t> lskip(masked ? nbins : 0, 0);
-  nnz_t flushes = 0;
-
-  auto flush = [&](std::size_t bin) {
-    const int count = lcnt[bin];
-    const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-    flush_copy(out_keys + pos,
-               lkeys.data() + bin * static_cast<std::size_t>(cap), count,
-               cfg.streaming_stores);
-    flush_copy(out_vals + pos,
-               lvals.data() + bin * static_cast<std::size_t>(cap), count,
-               cfg.streaming_stores);
-    lcnt[bin] = 0;
-    ++flushes;
-    sink.flushed(bin, count);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  };
-
-#pragma omp for schedule(guided) nowait
-  for (index_t i = 0; i < a.ncols; ++i) {
-    // Cooperative cancellation at column granularity (`break` is illegal
-    // in an omp for; skipped columns just leave their bins short, and the
-    // caller raises the typed error after the join).
-    if (stop_requested(cfg.cancel)) continue;
-    const auto arows = a.col_rows(i);
-    const auto avals = a.col_vals(i);
-    const auto bcols = b.row_cols(i);
-    const auto bvals = b.row_vals(i);
-    if (bcols.empty()) continue;
-
-    for (std::size_t ai = 0; ai < arows.size(); ++ai) {
-      const index_t r = arows[ai];
-      const value_t av = avals[ai];
-      const int bin_i = fast_binid<P>(layout, r);
-      const auto bin = static_cast<std::size_t>(bin_i);
-      // The row bits are constant across B(i,:): build them once.
-      const narrow_key_t rowkey =
-          static_cast<narrow_key_t>(
-              fast_local_row<P>(layout, bin_i, r, mod_shift))
-          << col_bits;
-      narrow_key_t* klane = lkeys.data() + bin * static_cast<std::size_t>(cap);
-      value_t* vlane = lvals.data() + bin * static_cast<std::size_t>(cap);
-      if (masked) {
-        const auto mrow = emask.csr->row_cols(r);
-        if (mrow.empty() && !emask.complement) {
-          lskip[bin] += static_cast<nnz_t>(bcols.size());
-          continue;
-        }
-        lskip[bin] += masked_scan(bcols, mrow, emask.complement,
-                                  [&](std::size_t bi) {
-                                    if (lcnt[bin] == cap) flush(bin);
-                                    const int at = lcnt[bin]++;
-                                    klane[at] =
-                                        rowkey |
-                                        static_cast<narrow_key_t>(bcols[bi]);
-                                    vlane[at] = S::mul(av, bvals[bi]);
-                                  });
-        continue;
-      }
-      for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
-        if (lcnt[bin] == cap) flush(bin);
-        const int at = lcnt[bin]++;
-        klane[at] = rowkey | static_cast<narrow_key_t>(bcols[bi]);
-        vlane[at] = S::mul(av, bvals[bi]);
-      }
-    }
-  }
-
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    if (lcnt[bin] != 0) flush(bin);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  }
-  flush_fence();
-  return flushes;
-}
-
-template <BinPolicy P, typename S>
-nnz_t expand_narrow_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                         const SymbolicResult& sym, const PbConfig& cfg,
-                         narrow_key_t* out_keys, value_t* out_vals,
-                         const MaskSpec& emask, nnz_t* actual_fill) {
-  const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
-
-  std::vector<std::atomic<nnz_t>> cursor(nbins);
-  for (std::size_t bin = 0; bin < nbins; ++bin)
-    cursor[bin].store(sym.bin_offsets[bin], std::memory_order_relaxed);
-
+  std::vector<std::atomic<nnz_t>> cursor = bin_cursors(sym);
   nnz_t flushes = 0;
 
 #pragma omp parallel reduction(+ : flushes)
   {
-    NullFlushSink sink;
-    flushes += expand_narrow_team<P, S>(a, b, sym, cfg, out_keys, out_vals,
-                                        cursor.data(), sink, emask);
-  }
+    // All key lanes, then all value lanes (both line-aligned: cap is a
+    // multiple of 16, so each lane starts on a 64 B boundary).
+    AlignedBuffer<narrow_key_t> lkeys(nbins * static_cast<std::size_t>(cap));
+    AlignedBuffer<value_t> lvals(nbins * static_cast<std::size_t>(cap));
+    std::vector<int> lcnt(nbins, 0);
 
-  if (actual_fill != nullptr) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      actual_fill[bin] =
-          cursor[bin].load(std::memory_order_relaxed) - sym.bin_offsets[bin];
-    }
-  }
-  if (cfg.validate &&
-      !(cfg.cancel != nullptr && cfg.cancel->stop_requested_now())) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
-      const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
-      if (emask.active() ? end > mark : end != mark) {
-        throw std::logic_error("pb_expand_narrow: bin " + std::to_string(bin) +
-                               " cursor does not meet its fill mark");
+    auto flush = [&](std::size_t bin) {
+      const int count = lcnt[bin];
+      const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
+      flush_copy(out_keys + pos,
+                 lkeys.data() + bin * static_cast<std::size_t>(cap), count,
+                 cfg.streaming_stores);
+      flush_copy(out_vals + pos,
+                 lvals.data() + bin * static_cast<std::size_t>(cap), count,
+                 cfg.streaming_stores);
+      lcnt[bin] = 0;
+      ++flushes;
+    };
+
+#pragma omp for schedule(guided) nowait
+    for (index_t i = 0; i < a.ncols; ++i) {
+      if (stop_requested(cfg.cancel)) continue;
+      const auto arows = a.col_rows(i);
+      const auto avals = a.col_vals(i);
+      const auto bcols = b.row_cols(i);
+      const auto bvals = b.row_vals(i);
+      if (bcols.empty()) continue;
+
+      for (std::size_t ai = 0; ai < arows.size(); ++ai) {
+        const index_t r = arows[ai];
+        const value_t av = avals[ai];
+        const int bin_i = fast_binid<P>(layout, r);
+        const auto bin = static_cast<std::size_t>(bin_i);
+        // The row bits are constant across B(i,:): build them once.
+        const narrow_key_t rowkey =
+            static_cast<narrow_key_t>(
+                fast_local_row<P>(layout, bin_i, r, mod_shift))
+            << col_bits;
+        narrow_key_t* klane =
+            lkeys.data() + bin * static_cast<std::size_t>(cap);
+        value_t* vlane = lvals.data() + bin * static_cast<std::size_t>(cap);
+        if (masked) {
+          const auto mrow = emask.csr->row_cols(r);
+          if (mrow.empty() && !emask.complement) continue;
+          masked_scan(bcols, mrow, emask.complement, [&](std::size_t bi) {
+            if (lcnt[bin] == cap) flush(bin);
+            const int at = lcnt[bin]++;
+            klane[at] = rowkey | static_cast<narrow_key_t>(bcols[bi]);
+            vlane[at] = S::mul(av, bvals[bi]);
+          });
+          continue;
+        }
+        for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
+          if (lcnt[bin] == cap) flush(bin);
+          const int at = lcnt[bin]++;
+          klane[at] = rowkey | static_cast<narrow_key_t>(bcols[bi]);
+          vlane[at] = S::mul(av, bvals[bi]);
+        }
       }
     }
+
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
+      if (lcnt[bin] != 0) flush(bin);
+    }
+    flush_fence();
   }
+
+  finish_expand(cursor, sym, cfg, emask, actual_fill, "pb_expand_narrow");
   return flushes;
 }
 
@@ -419,128 +317,72 @@ nnz_t expand_narrow_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 // the kernel needs no semiring parameter at all.  Legal only when the
 // caller established the semiring is value-free (pb/tuple.hpp).  Local
 // bin capacity is rounded to 8 keys so a full flush is whole 64 B lines,
-// keeping the non-temporal path of flush_copy.  Team-callable; same
-// contract as expand_team.
-template <BinPolicy P, typename Sink>
-nnz_t expand_keyonly_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                          const SymbolicResult& sym, const PbConfig& cfg,
-                          wide_key_t* out_keys, std::atomic<nnz_t>* cursor,
-                          Sink& sink, const MaskSpec& emask = {}) {
-  const BinLayout& layout = sym.layout;
-  const auto nbins = static_cast<std::size_t>(layout.nbins);
-  const int cap = std::max<int>(
-      8, cfg.local_bin_bytes / static_cast<int>(kBytesPerTupleKeyOnly) / 8 * 8);
-  const bool masked = emask.active();
-
-  AlignedBuffer<wide_key_t> lkeys(nbins * static_cast<std::size_t>(cap));
-  std::vector<int> lcnt(nbins, 0);
-  std::vector<nnz_t> lskip(masked ? nbins : 0, 0);
-  nnz_t flushes = 0;
-
-  auto flush = [&](std::size_t bin) {
-    const int count = lcnt[bin];
-    const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-    flush_copy(out_keys + pos,
-               lkeys.data() + bin * static_cast<std::size_t>(cap), count,
-               cfg.streaming_stores);
-    lcnt[bin] = 0;
-    ++flushes;
-    sink.flushed(bin, count);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  };
-
-#pragma omp for schedule(guided) nowait
-  for (index_t i = 0; i < a.ncols; ++i) {
-    // Cooperative cancellation at column granularity (`break` is illegal
-    // in an omp for; skipped columns just leave their bins short, and the
-    // caller raises the typed error after the join).
-    if (stop_requested(cfg.cancel)) continue;
-    const auto arows = a.col_rows(i);
-    const auto bcols = b.row_cols(i);
-    if (bcols.empty()) continue;
-
-    for (std::size_t ai = 0; ai < arows.size(); ++ai) {
-      const index_t r = arows[ai];
-      const auto bin = static_cast<std::size_t>(fast_binid<P>(layout, r));
-      // The row half of the key is constant across B(i,:): build it once.
-      const wide_key_t rowkey =
-          static_cast<wide_key_t>(static_cast<std::uint32_t>(r)) << 32;
-      wide_key_t* lane = lkeys.data() + bin * static_cast<std::size_t>(cap);
-      if (masked) {
-        const auto mrow = emask.csr->row_cols(r);
-        if (mrow.empty() && !emask.complement) {
-          lskip[bin] += static_cast<nnz_t>(bcols.size());
-          continue;
-        }
-        lskip[bin] += masked_scan(bcols, mrow, emask.complement,
-                                  [&](std::size_t bi) {
-                                    if (lcnt[bin] == cap) flush(bin);
-                                    lane[lcnt[bin]++] =
-                                        rowkey |
-                                        static_cast<std::uint32_t>(bcols[bi]);
-                                  });
-        continue;
-      }
-      for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
-        if (lcnt[bin] == cap) flush(bin);
-        lane[lcnt[bin]++] =
-            rowkey | static_cast<std::uint32_t>(bcols[bi]);
-      }
-    }
-  }
-
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    if (lcnt[bin] != 0) flush(bin);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  }
-  flush_fence();
-  return flushes;
-}
-
+// keeping the non-temporal path of flush_copy.
 template <BinPolicy P>
 nnz_t expand_keyonly_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                           const SymbolicResult& sym, const PbConfig& cfg,
                           wide_key_t* out_keys, const MaskSpec& emask,
                           nnz_t* actual_fill) {
-  const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
-
-  std::vector<std::atomic<nnz_t>> cursor(nbins);
-  for (std::size_t bin = 0; bin < nbins; ++bin)
-    cursor[bin].store(sym.bin_offsets[bin], std::memory_order_relaxed);
-
+  const BinLayout& layout = sym.layout;
+  const auto nbins = static_cast<std::size_t>(layout.nbins);
+  const int cap = std::max<int>(
+      8, cfg.local_bin_bytes / static_cast<int>(kBytesPerTupleKeyOnly) / 8 * 8);
+  const bool masked = emask.active();
+  std::vector<std::atomic<nnz_t>> cursor = bin_cursors(sym);
   nnz_t flushes = 0;
 
 #pragma omp parallel reduction(+ : flushes)
   {
-    NullFlushSink sink;
-    flushes += expand_keyonly_team<P>(a, b, sym, cfg, out_keys, cursor.data(),
-                                      sink, emask);
-  }
+    AlignedBuffer<wide_key_t> lkeys(nbins * static_cast<std::size_t>(cap));
+    std::vector<int> lcnt(nbins, 0);
 
-  if (actual_fill != nullptr) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      actual_fill[bin] =
-          cursor[bin].load(std::memory_order_relaxed) - sym.bin_offsets[bin];
-    }
-  }
-  if (cfg.validate &&
-      !(cfg.cancel != nullptr && cfg.cancel->stop_requested_now())) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
-      const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
-      if (emask.active() ? end > mark : end != mark) {
-        throw std::logic_error("pb_expand_keyonly: bin " +
-                               std::to_string(bin) +
-                               " cursor does not meet its fill mark");
+    auto flush = [&](std::size_t bin) {
+      const int count = lcnt[bin];
+      const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
+      flush_copy(out_keys + pos,
+                 lkeys.data() + bin * static_cast<std::size_t>(cap), count,
+                 cfg.streaming_stores);
+      lcnt[bin] = 0;
+      ++flushes;
+    };
+
+#pragma omp for schedule(guided) nowait
+    for (index_t i = 0; i < a.ncols; ++i) {
+      if (stop_requested(cfg.cancel)) continue;
+      const auto arows = a.col_rows(i);
+      const auto bcols = b.row_cols(i);
+      if (bcols.empty()) continue;
+
+      for (std::size_t ai = 0; ai < arows.size(); ++ai) {
+        const index_t r = arows[ai];
+        const auto bin = static_cast<std::size_t>(fast_binid<P>(layout, r));
+        // The row half of the key is constant across B(i,:): build it once.
+        const wide_key_t rowkey =
+            static_cast<wide_key_t>(static_cast<std::uint32_t>(r)) << 32;
+        wide_key_t* lane = lkeys.data() + bin * static_cast<std::size_t>(cap);
+        if (masked) {
+          const auto mrow = emask.csr->row_cols(r);
+          if (mrow.empty() && !emask.complement) continue;
+          masked_scan(bcols, mrow, emask.complement, [&](std::size_t bi) {
+            if (lcnt[bin] == cap) flush(bin);
+            lane[lcnt[bin]++] = rowkey | static_cast<std::uint32_t>(bcols[bi]);
+          });
+          continue;
+        }
+        for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
+          if (lcnt[bin] == cap) flush(bin);
+          lane[lcnt[bin]++] = rowkey | static_cast<std::uint32_t>(bcols[bi]);
+        }
       }
     }
+
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
+      if (lcnt[bin] != 0) flush(bin);
+    }
+    flush_fence();
   }
+
+  finish_expand(cursor, sym, cfg, emask, actual_fill, "pb_expand_keyonly");
   return flushes;
 }
 
@@ -548,13 +390,12 @@ nnz_t expand_keyonly_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 // product is computed in double (S::mul semantics unchanged) and narrowed
 // on store, so the phase writes 8 bytes per tuple.  A full flush is whole
 // lines on both streams (cap is a multiple of 16: one 64 B key line and
-// one 64 B value line).  Team-callable; same contract as expand_team.
-template <BinPolicy P, typename S, typename Sink>
-nnz_t expand_narrow_f32_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
+// one 64 B value line).
+template <BinPolicy P, typename S>
+nnz_t expand_narrow_f32_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                              const SymbolicResult& sym, const PbConfig& cfg,
                              narrow_key_t* out_keys, f32_val_t* out_vals,
-                             std::atomic<nnz_t>* cursor, Sink& sink,
-                             const MaskSpec& emask = {}) {
+                             const MaskSpec& emask, nnz_t* actual_fill) {
   const BinLayout& layout = sym.layout;
   const auto nbins = static_cast<std::size_t>(layout.nbins);
   const int cap = std::max<int>(
@@ -564,128 +405,76 @@ nnz_t expand_narrow_f32_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   const int mod_shift =
       layout.policy == BinPolicy::kModulo ? layout.modulo_shift() : 0;
   const bool masked = emask.active();
-
-  AlignedBuffer<narrow_key_t> lkeys(nbins * static_cast<std::size_t>(cap));
-  AlignedBuffer<f32_val_t> lvals(nbins * static_cast<std::size_t>(cap));
-  std::vector<int> lcnt(nbins, 0);
-  std::vector<nnz_t> lskip(masked ? nbins : 0, 0);
-  nnz_t flushes = 0;
-
-  auto flush = [&](std::size_t bin) {
-    const int count = lcnt[bin];
-    const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-    flush_copy(out_keys + pos,
-               lkeys.data() + bin * static_cast<std::size_t>(cap), count,
-               cfg.streaming_stores);
-    flush_copy(out_vals + pos,
-               lvals.data() + bin * static_cast<std::size_t>(cap), count,
-               cfg.streaming_stores);
-    lcnt[bin] = 0;
-    ++flushes;
-    sink.flushed(bin, count);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  };
-
-#pragma omp for schedule(guided) nowait
-  for (index_t i = 0; i < a.ncols; ++i) {
-    // Cooperative cancellation at column granularity (`break` is illegal
-    // in an omp for; skipped columns just leave their bins short, and the
-    // caller raises the typed error after the join).
-    if (stop_requested(cfg.cancel)) continue;
-    const auto arows = a.col_rows(i);
-    const auto avals = a.col_vals(i);
-    const auto bcols = b.row_cols(i);
-    const auto bvals = b.row_vals(i);
-    if (bcols.empty()) continue;
-
-    for (std::size_t ai = 0; ai < arows.size(); ++ai) {
-      const index_t r = arows[ai];
-      const value_t av = avals[ai];
-      const int bin_i = fast_binid<P>(layout, r);
-      const auto bin = static_cast<std::size_t>(bin_i);
-      const narrow_key_t rowkey =
-          static_cast<narrow_key_t>(
-              fast_local_row<P>(layout, bin_i, r, mod_shift))
-          << col_bits;
-      narrow_key_t* klane = lkeys.data() + bin * static_cast<std::size_t>(cap);
-      f32_val_t* vlane = lvals.data() + bin * static_cast<std::size_t>(cap);
-      if (masked) {
-        const auto mrow = emask.csr->row_cols(r);
-        if (mrow.empty() && !emask.complement) {
-          lskip[bin] += static_cast<nnz_t>(bcols.size());
-          continue;
-        }
-        lskip[bin] += masked_scan(
-            bcols, mrow, emask.complement, [&](std::size_t bi) {
-              if (lcnt[bin] == cap) flush(bin);
-              const int at = lcnt[bin]++;
-              klane[at] = rowkey | static_cast<narrow_key_t>(bcols[bi]);
-              vlane[at] = static_cast<f32_val_t>(S::mul(av, bvals[bi]));
-            });
-        continue;
-      }
-      for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
-        if (lcnt[bin] == cap) flush(bin);
-        const int at = lcnt[bin]++;
-        klane[at] = rowkey | static_cast<narrow_key_t>(bcols[bi]);
-        vlane[at] = static_cast<f32_val_t>(S::mul(av, bvals[bi]));
-      }
-    }
-  }
-
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    if (lcnt[bin] != 0) flush(bin);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  }
-  flush_fence();
-  return flushes;
-}
-
-template <BinPolicy P, typename S>
-nnz_t expand_narrow_f32_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                             const SymbolicResult& sym, const PbConfig& cfg,
-                             narrow_key_t* out_keys, f32_val_t* out_vals,
-                             const MaskSpec& emask, nnz_t* actual_fill) {
-  const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
-
-  std::vector<std::atomic<nnz_t>> cursor(nbins);
-  for (std::size_t bin = 0; bin < nbins; ++bin)
-    cursor[bin].store(sym.bin_offsets[bin], std::memory_order_relaxed);
-
+  std::vector<std::atomic<nnz_t>> cursor = bin_cursors(sym);
   nnz_t flushes = 0;
 
 #pragma omp parallel reduction(+ : flushes)
   {
-    NullFlushSink sink;
-    flushes += expand_narrow_f32_team<P, S>(a, b, sym, cfg, out_keys,
-                                            out_vals, cursor.data(), sink,
-                                            emask);
-  }
+    AlignedBuffer<narrow_key_t> lkeys(nbins * static_cast<std::size_t>(cap));
+    AlignedBuffer<f32_val_t> lvals(nbins * static_cast<std::size_t>(cap));
+    std::vector<int> lcnt(nbins, 0);
 
-  if (actual_fill != nullptr) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      actual_fill[bin] =
-          cursor[bin].load(std::memory_order_relaxed) - sym.bin_offsets[bin];
-    }
-  }
-  if (cfg.validate &&
-      !(cfg.cancel != nullptr && cfg.cancel->stop_requested_now())) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
-      const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
-      if (emask.active() ? end > mark : end != mark) {
-        throw std::logic_error("pb_expand_narrow_f32: bin " +
-                               std::to_string(bin) +
-                               " cursor does not meet its fill mark");
+    auto flush = [&](std::size_t bin) {
+      const int count = lcnt[bin];
+      const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
+      flush_copy(out_keys + pos,
+                 lkeys.data() + bin * static_cast<std::size_t>(cap), count,
+                 cfg.streaming_stores);
+      flush_copy(out_vals + pos,
+                 lvals.data() + bin * static_cast<std::size_t>(cap), count,
+                 cfg.streaming_stores);
+      lcnt[bin] = 0;
+      ++flushes;
+    };
+
+#pragma omp for schedule(guided) nowait
+    for (index_t i = 0; i < a.ncols; ++i) {
+      if (stop_requested(cfg.cancel)) continue;
+      const auto arows = a.col_rows(i);
+      const auto avals = a.col_vals(i);
+      const auto bcols = b.row_cols(i);
+      const auto bvals = b.row_vals(i);
+      if (bcols.empty()) continue;
+
+      for (std::size_t ai = 0; ai < arows.size(); ++ai) {
+        const index_t r = arows[ai];
+        const value_t av = avals[ai];
+        const int bin_i = fast_binid<P>(layout, r);
+        const auto bin = static_cast<std::size_t>(bin_i);
+        const narrow_key_t rowkey =
+            static_cast<narrow_key_t>(
+                fast_local_row<P>(layout, bin_i, r, mod_shift))
+            << col_bits;
+        narrow_key_t* klane =
+            lkeys.data() + bin * static_cast<std::size_t>(cap);
+        f32_val_t* vlane = lvals.data() + bin * static_cast<std::size_t>(cap);
+        if (masked) {
+          const auto mrow = emask.csr->row_cols(r);
+          if (mrow.empty() && !emask.complement) continue;
+          masked_scan(bcols, mrow, emask.complement, [&](std::size_t bi) {
+            if (lcnt[bin] == cap) flush(bin);
+            const int at = lcnt[bin]++;
+            klane[at] = rowkey | static_cast<narrow_key_t>(bcols[bi]);
+            vlane[at] = static_cast<f32_val_t>(S::mul(av, bvals[bi]));
+          });
+          continue;
+        }
+        for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
+          if (lcnt[bin] == cap) flush(bin);
+          const int at = lcnt[bin]++;
+          klane[at] = rowkey | static_cast<narrow_key_t>(bcols[bi]);
+          vlane[at] = static_cast<f32_val_t>(S::mul(av, bvals[bi]));
+        }
       }
     }
+
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
+      if (lcnt[bin] != 0) flush(bin);
+    }
+    flush_fence();
   }
+
+  finish_expand(cursor, sym, cfg, emask, actual_fill, "pb_expand_narrow_f32");
   return flushes;
 }
 

@@ -23,6 +23,69 @@ index_t narrow_global_row(const BinLayout& layout, int mod_shift, int bin,
   return index_t{0};
 }
 
+// Per-bin passes of the builders below.  No row spans two bins, so bins
+// count into the shared rowptr (slot row + 1) and scatter into C's arrays
+// concurrently without atomics.
+void count_bin(const Tuple* bin_tuples, nnz_t merged, nnz_t* rowptr) {
+  for (nnz_t i = 0; i < merged; ++i) {
+    ++rowptr[static_cast<std::size_t>(key_row(bin_tuples[i].key)) + 1];
+  }
+}
+
+void scatter_bin(const Tuple* bin_tuples, nnz_t merged,
+                 const nnz_t* rowptr, index_t* colids, value_t* vals) {
+  // Within a bin tuples are (row, col)-sorted, so every row appears as one
+  // contiguous run; its j-th element lands at rowptr[row] + j.
+  nnz_t i = 0;
+  while (i < merged) {
+    const index_t row = key_row(bin_tuples[i].key);
+    nnz_t dst = rowptr[row];
+    while (i < merged && key_row(bin_tuples[i].key) == row) {
+      colids[static_cast<std::size_t>(dst)] = key_col(bin_tuples[i].key);
+      vals[static_cast<std::size_t>(dst)] = bin_tuples[i].val;
+      ++dst;
+      ++i;
+    }
+  }
+}
+
+void count_bin_narrow(const narrow_key_t* bin_keys, nnz_t merged, int bin,
+                      const BinLayout& layout, int col_bits,
+                      nnz_t* rowptr) {
+  const int mod_shift =
+      layout.policy == BinPolicy::kModulo ? layout.modulo_shift() : 0;
+  for (nnz_t i = 0; i < merged; ++i) {
+    const index_t row = narrow_global_row(
+        layout, mod_shift, bin, narrow_key_local_row(bin_keys[i], col_bits));
+    ++rowptr[static_cast<std::size_t>(row) + 1];
+  }
+}
+
+void count_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
+                       nnz_t* rowptr) {
+  for (nnz_t i = 0; i < merged; ++i) {
+    ++rowptr[static_cast<std::size_t>(key_row(bin_keys[i])) + 1];
+  }
+}
+
+void scatter_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
+                         const nnz_t* rowptr, index_t* colids,
+                         value_t* vals, value_t present) {
+  // Same contiguous-row-run walk as the wide scatter; the value store is a
+  // constant, the format's whole point.
+  nnz_t i = 0;
+  while (i < merged) {
+    const index_t row = key_row(bin_keys[i]);
+    nnz_t dst = rowptr[row];
+    while (i < merged && key_row(bin_keys[i]) == row) {
+      colids[static_cast<std::size_t>(dst)] = key_col(bin_keys[i]);
+      vals[static_cast<std::size_t>(dst)] = present;
+      ++dst;
+      ++i;
+    }
+  }
+}
+
 // Shared body of the narrow scatters: the value lane differs only in its
 // element width (f64, or f32 widened/copied), so one template serves the
 // narrow, narrow-f32 and native-f32 paths.
@@ -69,9 +132,9 @@ void build_narrow_any(const narrow_key_t* keys, const VIn* vals_in,
 #pragma omp parallel for schedule(dynamic, 1)
   for (int bin = 0; bin < nbins; ++bin) {
     if (stop_requested(cancel)) continue;
-    pb_count_bin_narrow(keys + offsets[static_cast<std::size_t>(bin)],
-                        merged[static_cast<std::size_t>(bin)], bin, layout,
-                        col_bits, rowptr);
+    count_bin_narrow(keys + offsets[static_cast<std::size_t>(bin)],
+                     merged[static_cast<std::size_t>(bin)], bin, layout,
+                     col_bits, rowptr);
   }
   throw_if_stopped(cancel);
 
@@ -93,84 +156,6 @@ void build_narrow_any(const narrow_key_t* keys, const VIn* vals_in,
 
 }  // namespace
 
-void pb_count_bin(const Tuple* bin_tuples, nnz_t merged, nnz_t* rowptr) {
-  for (nnz_t i = 0; i < merged; ++i) {
-    ++rowptr[static_cast<std::size_t>(key_row(bin_tuples[i].key)) + 1];
-  }
-}
-
-void pb_scatter_bin(const Tuple* bin_tuples, nnz_t merged,
-                    const nnz_t* rowptr, index_t* colids, value_t* vals) {
-  // Within a bin tuples are (row, col)-sorted, so every row appears as one
-  // contiguous run; its j-th element lands at rowptr[row] + j.
-  nnz_t i = 0;
-  while (i < merged) {
-    const index_t row = key_row(bin_tuples[i].key);
-    nnz_t dst = rowptr[row];
-    while (i < merged && key_row(bin_tuples[i].key) == row) {
-      colids[static_cast<std::size_t>(dst)] = key_col(bin_tuples[i].key);
-      vals[static_cast<std::size_t>(dst)] = bin_tuples[i].val;
-      ++dst;
-      ++i;
-    }
-  }
-}
-
-void pb_count_bin_narrow(const narrow_key_t* bin_keys, nnz_t merged, int bin,
-                         const BinLayout& layout, int col_bits,
-                         nnz_t* rowptr) {
-  const int mod_shift =
-      layout.policy == BinPolicy::kModulo ? layout.modulo_shift() : 0;
-  for (nnz_t i = 0; i < merged; ++i) {
-    const index_t row = narrow_global_row(
-        layout, mod_shift, bin, narrow_key_local_row(bin_keys[i], col_bits));
-    ++rowptr[static_cast<std::size_t>(row) + 1];
-  }
-}
-
-void pb_scatter_bin_narrow(const narrow_key_t* bin_keys,
-                           const value_t* bin_vals, nnz_t merged, int bin,
-                           const BinLayout& layout, int col_bits,
-                           const nnz_t* rowptr, index_t* colids,
-                           value_t* vals) {
-  scatter_bin_narrow_any(bin_keys, bin_vals, merged, bin, layout, col_bits,
-                         rowptr, colids, vals);
-}
-
-void pb_scatter_bin_narrow_f32(const narrow_key_t* bin_keys,
-                               const f32_val_t* bin_vals, nnz_t merged,
-                               int bin, const BinLayout& layout, int col_bits,
-                               const nnz_t* rowptr, index_t* colids,
-                               value_t* vals) {
-  scatter_bin_narrow_any(bin_keys, bin_vals, merged, bin, layout, col_bits,
-                         rowptr, colids, vals);
-}
-
-void pb_count_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
-                          nnz_t* rowptr) {
-  for (nnz_t i = 0; i < merged; ++i) {
-    ++rowptr[static_cast<std::size_t>(key_row(bin_keys[i])) + 1];
-  }
-}
-
-void pb_scatter_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
-                            const nnz_t* rowptr, index_t* colids,
-                            value_t* vals, value_t present) {
-  // Same contiguous-row-run walk as the wide scatter; the value store is a
-  // constant, the format's whole point.
-  nnz_t i = 0;
-  while (i < merged) {
-    const index_t row = key_row(bin_keys[i]);
-    nnz_t dst = rowptr[row];
-    while (i < merged && key_row(bin_keys[i]) == row) {
-      colids[static_cast<std::size_t>(dst)] = key_col(bin_keys[i]);
-      vals[static_cast<std::size_t>(dst)] = present;
-      ++dst;
-      ++i;
-    }
-  }
-}
-
 mtx::CsrMatrix pb_build_csr(const Tuple* tuples,
                             std::span<const nnz_t> offsets,
                             std::span<const nnz_t> merged, index_t nrows,
@@ -183,8 +168,8 @@ mtx::CsrMatrix pb_build_csr(const Tuple* tuples,
 #pragma omp parallel for schedule(dynamic, 1)
   for (int bin = 0; bin < nbins; ++bin) {
     if (stop_requested(cancel)) continue;
-    pb_count_bin(tuples + offsets[static_cast<std::size_t>(bin)],
-                 merged[static_cast<std::size_t>(bin)], out.rowptr.data());
+    count_bin(tuples + offsets[static_cast<std::size_t>(bin)],
+              merged[static_cast<std::size_t>(bin)], out.rowptr.data());
   }
   throw_if_stopped(cancel);
 
@@ -197,9 +182,9 @@ mtx::CsrMatrix pb_build_csr(const Tuple* tuples,
 #pragma omp parallel for schedule(dynamic, 1)
   for (int bin = 0; bin < nbins; ++bin) {
     if (stop_requested(cancel)) continue;
-    pb_scatter_bin(tuples + offsets[static_cast<std::size_t>(bin)],
-                   merged[static_cast<std::size_t>(bin)], out.rowptr.data(),
-                   out.colids.data(), out.vals.data());
+    scatter_bin(tuples + offsets[static_cast<std::size_t>(bin)],
+                merged[static_cast<std::size_t>(bin)], out.rowptr.data(),
+                out.colids.data(), out.vals.data());
   }
   throw_if_stopped(cancel);
 
@@ -261,9 +246,9 @@ mtx::CsrMatrix pb_build_csr_keyonly(const wide_key_t* keys,
 #pragma omp parallel for schedule(dynamic, 1)
   for (int bin = 0; bin < nbins; ++bin) {
     if (stop_requested(cancel)) continue;
-    pb_count_bin_keyonly(keys + offsets[static_cast<std::size_t>(bin)],
-                         merged[static_cast<std::size_t>(bin)],
-                         out.rowptr.data());
+    count_bin_keyonly(keys + offsets[static_cast<std::size_t>(bin)],
+                      merged[static_cast<std::size_t>(bin)],
+                      out.rowptr.data());
   }
   throw_if_stopped(cancel);
 
@@ -275,10 +260,10 @@ mtx::CsrMatrix pb_build_csr_keyonly(const wide_key_t* keys,
 #pragma omp parallel for schedule(dynamic, 1)
   for (int bin = 0; bin < nbins; ++bin) {
     if (stop_requested(cancel)) continue;
-    pb_scatter_bin_keyonly(keys + offsets[static_cast<std::size_t>(bin)],
-                           merged[static_cast<std::size_t>(bin)],
-                           out.rowptr.data(), out.colids.data(),
-                           out.vals.data(), present);
+    scatter_bin_keyonly(keys + offsets[static_cast<std::size_t>(bin)],
+                        merged[static_cast<std::size_t>(bin)],
+                        out.rowptr.data(), out.colids.data(),
+                        out.vals.data(), present);
   }
   throw_if_stopped(cancel);
 

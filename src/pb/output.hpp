@@ -51,36 +51,6 @@ mtx::CsrMatrix pb_build_csr(const Tuple* tuples,
                             index_t ncols,
                             const CancelToken* cancel = nullptr);
 
-// --- Per-bin streaming primitives --------------------------------------
-//
-// The batch builders above are two barrier-separated sweeps over all bins.
-// The pipelined schedule instead folds the COUNT pass into each bin's
-// sort/compress task (the tuples are still cache-hot) and runs only the
-// SCATTER as a second sweep, so both builders are also exposed one bin at
-// a time.  The race-freedom argument is unchanged: no row spans two bins,
-// so concurrent calls on distinct bins may share `rowptr` (counting into
-// slot row+1) and the output arrays without atomics.
-
-/// Counts bin `b`'s surviving rows into rowptr[row + 1] (+= per tuple).
-void pb_count_bin(const Tuple* bin_tuples, nnz_t merged, nnz_t* rowptr);
-
-/// Streams bin `b`'s sorted tuples into their final CSR positions.
-/// `rowptr` must already hold absolute row starts (counts_to_rowptr done).
-void pb_scatter_bin(const Tuple* bin_tuples, nnz_t merged,
-                    const nnz_t* rowptr, index_t* colids, value_t* vals);
-
-/// Narrow-format per-bin count: reads only the 4 B key array.
-void pb_count_bin_narrow(const narrow_key_t* bin_keys, nnz_t merged, int bin,
-                         const BinLayout& layout, int col_bits,
-                         nnz_t* rowptr);
-
-/// Narrow-format per-bin scatter.
-void pb_scatter_bin_narrow(const narrow_key_t* bin_keys,
-                           const value_t* bin_vals, nnz_t merged, int bin,
-                           const BinLayout& layout, int col_bits,
-                           const nnz_t* rowptr, index_t* colids,
-                           value_t* vals);
-
 /// Narrow-format conversion: reconstructs the global (row, col) of each
 /// surviving tuple from the bin geometry while streaming — the row-count
 /// pass reads only the 4 B key array, and values are copied straight from
@@ -94,37 +64,18 @@ mtx::CsrMatrix pb_build_csr_narrow(const narrow_key_t* keys,
                                    index_t nrows, index_t ncols,
                                    const CancelToken* cancel = nullptr);
 
-/// Key-only per-bin count: the stream is bare wide keys, read 8 B each.
-void pb_count_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
-                          nnz_t* rowptr);
-
-/// Key-only per-bin scatter: every surviving entry's value is synthesized
-/// as `present` (a value-free semiring's present-value, 1.0 — "true" for
-/// bool_or_and), since the stream carries no values to copy.
-void pb_scatter_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
-                            const nnz_t* rowptr, index_t* colids,
-                            value_t* vals, value_t present);
-
 /// Key-only conversion: pattern from the keys, values synthesized as
-/// `present` (see pb_scatter_bin_keyonly).  The bit-identity contract with
-/// a wide run of the same value-free semiring holds because the wide run's
-/// surviving values are all exactly `present` too (S::add/S::mul of
-/// nonzeros is 1.0 for bool_or_and).
+/// `present` (a value-free semiring's present-value, 1.0 — "true" for
+/// bool_or_and), since the stream carries no values to copy.  The
+/// bit-identity contract with a wide run of the same value-free semiring
+/// holds because the wide run's surviving values are all exactly
+/// `present` too (S::add/S::mul of nonzeros is 1.0 for bool_or_and).
 mtx::CsrMatrix pb_build_csr_keyonly(const wide_key_t* keys,
                                     std::span<const nnz_t> offsets,
                                     std::span<const nnz_t> merged,
                                     index_t nrows, index_t ncols,
                                     value_t present = 1.0,
                                     const CancelToken* cancel = nullptr);
-
-/// Narrow-f32 per-bin scatter: values widen f32 → f64 on the way out.
-/// (The count pass is pb_count_bin_narrow — it reads only the key array,
-/// which is identical across the two narrow formats.)
-void pb_scatter_bin_narrow_f32(const narrow_key_t* bin_keys,
-                               const f32_val_t* bin_vals, nnz_t merged,
-                               int bin, const BinLayout& layout, int col_bits,
-                               const nnz_t* rowptr, index_t* colids,
-                               value_t* vals);
 
 /// Narrow-f32 conversion to the canonical f64 CSR (values widened).
 mtx::CsrMatrix pb_build_csr_narrow_f32(const narrow_key_t* keys,

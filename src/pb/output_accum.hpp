@@ -18,10 +18,7 @@
 // fused result is bitwise equal to
 // semiring_ewise_add(c_old, pb_build_csr(...)).
 //
-// Both schedules land here: the barrier path replaces its convert switch,
-// and the pipelined path replaces its tail (the per-bin folded row count
-// is skipped when accumulating — the union count needs C_old's rows,
-// which these builders walk anyway).
+// pb_execute calls these in place of its plain convert switch.
 #pragma once
 
 #include <span>
@@ -40,7 +37,7 @@ namespace detail {
 /// C_old's rows into rowptr[row + 1].  `row_of`/`col_of` decode the bin's
 /// tuples by bin-relative index; the tuple walk and for_each_row agree on
 /// row order, so a single forward cursor serves the whole bin.  Race-free
-/// across bins for the same reason pb_count_bin is: no row spans two.
+/// across bins for the same reason the plain count is: no row spans two.
 template <typename RowOf, typename ColOf>
 void accum_count_bin(nnz_t merged, const mtx::CsrMatrix& c_old,
                      const BinLayout& layout, int bin, index_t nrows,

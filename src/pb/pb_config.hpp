@@ -32,25 +32,6 @@ enum class BinPolicy {
 
 const char* to_string(BinPolicy p);
 
-/// How pb_execute schedules the numeric phases.
-enum class PbSchedule {
-  kAuto,      ///< pipeline with >1 thread, barrier on one (no sync to hide)
-  kBarrier,   ///< three barrier-separated phase loops (paper Algorithm 2)
-  kPipeline,  ///< per-bin task dataflow: a bin sorts/compresses the moment
-              ///< its last expand flush lands, on any free worker
-};
-
-const char* to_string(PbSchedule s);
-
-/// The schedule kAuto resolves to for a team of `nthreads`: pipelining
-/// exists to overlap phases across workers and hide the fork-join tail, so
-/// a single thread keeps the barrier loops (identical work, none of the
-/// readiness bookkeeping).
-constexpr PbSchedule resolve_schedule(PbSchedule requested, int nthreads) {
-  if (requested != PbSchedule::kAuto) return requested;
-  return nthreads > 1 ? PbSchedule::kPipeline : PbSchedule::kBarrier;
-}
-
 /// How the symbolic phase picks the tuple stream format (pb/tuple.hpp).
 /// Every request except kWide is a preference: when the requested format
 /// is not legal for the plan (narrow/f32 bin-geometry fit, key-only
@@ -105,10 +86,6 @@ struct PbConfig {
 
   /// L2 size used by the auto-nbins rule; 0 = detect at runtime.
   std::size_t l2_bytes = 0;
-
-  /// Phase scheduling of pb_execute (resolve_schedule resolves kAuto at
-  /// execute time from the thread count, so one plan serves both).
-  PbSchedule schedule = PbSchedule::kAuto;
 
   /// Use non-temporal (streaming) stores for local-bin flushes — full
   /// cache-line writes with no read-for-ownership, the mechanism behind
@@ -212,29 +189,6 @@ struct PbTelemetry {
   /// phase byte models above were computed with).
   TupleFormat format = TupleFormat::kWide;
 
-  /// Schedule this run actually executed under (resolved; never kAuto).
-  PbSchedule schedule = PbSchedule::kBarrier;
-
-  /// Pipelined runs only: wall time of the overlapped numeric phases
-  /// (expand through convert).  The per-phase seconds above are busy
-  /// times that overlap each other, so their sum exceeds the wall when
-  /// the pipeline achieves overlap; barrier runs leave this 0 (their
-  /// phases are sequential and sum to the wall).
-  double wall_seconds = 0;
-
-  /// Pipelined runs: total time completed bins spent *waiting* — between
-  /// the expand flush that made a bin sortable and a worker picking its
-  /// task up.
-  double bin_wait_seconds = 0;
-
-  /// Pipelined runs: total time workers spent *running* bin tasks
-  /// (sort + compress + mask filter + row count), summed over bins.
-  double bin_run_seconds = 0;
-
-  /// Pipelined runs: bin tasks executed by a thread other than the one
-  /// whose flush completed the bin (work stealing in action).
-  int bins_stolen = 0;
-
   [[nodiscard]] double tuple_bytes() const {
     return static_cast<double>(bytes_per_tuple(format));
   }
@@ -243,19 +197,10 @@ struct PbTelemetry {
     return nnz_c > 0 ? static_cast<double>(flop) / static_cast<double>(nnz_c) : 0.0;
   }
 
+  /// The phases run one after another, so they sum to the run's time.
   [[nodiscard]] double total_seconds() const {
-    if (wall_seconds > 0) return symbolic.seconds + wall_seconds;
     return symbolic.seconds + expand.seconds + sort.seconds +
            compress.seconds + convert.seconds;
-  }
-
-  /// Pipelined runs: busy time the overlap hid — Σ phase busy − wall
-  /// (0 when nothing overlapped or the run was barrier-scheduled).
-  [[nodiscard]] double overlap_seconds() const {
-    if (wall_seconds <= 0) return 0.0;
-    const double busy = expand.seconds + sort.seconds + compress.seconds +
-                        convert.seconds;
-    return busy > wall_seconds ? busy - wall_seconds : 0.0;
   }
 
   /// Millions of multiplications per second over the whole run — the

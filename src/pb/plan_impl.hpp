@@ -9,12 +9,10 @@
 
 #include "common/cancel.hpp"
 #include "common/fault.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "pb/expand.hpp"
 #include "pb/output.hpp"
 #include "pb/output_accum.hpp"
-#include "pb/pipeline_impl.hpp"
 #include "pb/plan.hpp"
 #include "pb/sort_compress.hpp"
 
@@ -22,8 +20,7 @@ namespace pbs::pb {
 
 namespace detail {
 
-/// Epilogue preconditions shared by both schedule drivers (see
-/// PbEpilogue's contract in pb_config.hpp).
+/// Epilogue preconditions (see PbEpilogue's contract in pb_config.hpp).
 inline void validate_epilogue(const PbEpilogue& epi, TupleFormat fmt,
                               index_t nrows, index_t ncols) {
   if (epi.accumulate != nullptr && epi.post_op.active()) {
@@ -64,13 +61,6 @@ PbResult pb_execute(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   detail::validate_epilogue(epi, plan.sym.format, a.nrows, b.ncols);
   throw_if_stopped(cancel);
 
-  // Schedule resolution happens here, at execute time, so one plan serves
-  // both schedules (and kAuto can track the thread count of each run).
-  if (resolve_schedule(plan.cfg.schedule, max_threads()) ==
-      PbSchedule::kPipeline) {
-    return pb_execute_pipeline<S>(a, b, plan, workspace, mask, cancel, epi);
-  }
-
   // Run-local config: the plan's captured config plus this run's token,
   // threaded into expand (whose entry points read cfg.cancel).
   PbConfig run_cfg = plan.cfg;
@@ -93,7 +83,6 @@ PbResult pb_execute(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   // report 0 (see BinLayout::rows_per_bin).
   tm.rows_per_bin = sym.layout.rows_per_bin();
   tm.format = sym.format;
-  tm.schedule = PbSchedule::kBarrier;
   // The `b` each tuple of this run's stream costs — the per-format Table
   // III accounting below runs on it.
   const double bpt = tm.tuple_bytes();

@@ -235,11 +235,9 @@ nnz_t post_op_bin(nnz_t kept, const PostOp& op, RowOf row_of, GetVal get_val,
 
 }  // namespace detail
 
-/// Per-bin wide-format operations — the unit of work both schedules run.
-/// The barrier driver maps them over all bins behind an `omp for`; the
-/// pipelined schedule (pipeline_impl.hpp) runs `process` on a single bin
-/// the moment it becomes ready.  Holds only pointers: cheap to copy into
-/// each thread.
+/// Per-bin wide-format operations, which pb_execute maps over all bins
+/// behind an `omp for`.  Holds only pointers: cheap to copy into each
+/// thread.
 template <typename S>
 struct WideBinOps {
   Tuple* tuples = nullptr;

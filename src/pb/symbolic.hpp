@@ -37,8 +37,7 @@ struct SymbolicResult {
   /// Home NUMA node of each bin (size layout.nbins): a contiguous,
   /// flop-balanced partition of the bins over the machine's nodes
   /// (common/numa.hpp).  The placement layer first-touches each bin's
-  /// tuple region from a thread on its home node, and the pipelined
-  /// schedule prefers stealing from same-node victims.  All zeros on
+  /// tuple region from a thread on its home node.  All zeros on
   /// single-node hosts.
   std::vector<int> bin_home;
 

@@ -37,9 +37,8 @@ std::string op_cache_key(const SpGemmOp& op) {
       << static_cast<const void*>(op.mask) << '|' << op.complement << '|'
       << static_cast<int>(op.pb.policy) << '|'
       << static_cast<int>(op.pb.format) << '|' << op.pb.value_free << '|'
-      << static_cast<int>(op.pb.schedule) << '|' << op.pb.nbins << '|'
-      << op.pb.local_bin_bytes << '|' << op.pb.l2_bytes << '|'
-      << op.pb.streaming_stores << '|'
+      << op.pb.nbins << '|' << op.pb.local_bin_bytes << '|'
+      << op.pb.l2_bytes << '|' << op.pb.streaming_stores << '|'
       << static_cast<int>(op.pb.expand_mask) << '|'
       << op.pb.expand_mask_max_density << '|' << op.post_op.scale << '|'
       << op.post_op.prune_threshold << '|' << op.post_op.top_k << '|'
@@ -386,14 +385,9 @@ struct SpGemmExecutor::Impl {
       m.pb_tuple_bytes = static_cast<double>(pb::bytes_per_tuple(
           pb::predict_tuple_format(p.a_csc.nrows, p.b_csr.ncols, fp.flop,
                                    pbcfg)));
-      // Schedule term: pb's derating reflects the schedule this op will
-      // actually execute under (kAuto resolved for the current team size).
-      m.pipelined_schedule =
-          pb::resolve_schedule(op.pb.schedule, max_threads()) ==
-          pb::PbSchedule::kPipeline;
-      // Record the *effective* derating (schedule term applied): a later
-      // calibrate() inverts predictions through this constant.
-      entry->sel_pb_efficiency = m.effective_pb_efficiency();
+      // Record the derating the prediction used: a later calibrate()
+      // inverts predictions through this constant.
+      entry->sel_pb_efficiency = m.pb_efficiency;
       entry->sel_column_latency_penalty = m.column_latency_penalty;
       // Keep the model's expand-mask gate in lockstep with the config the
       // pb path will actually run under: credit a skip that will happen,

@@ -167,9 +167,6 @@ const std::vector<AlgoInfo>& algorithms() {
        spa_spgemm, true, all_semirings(), true},
       {"esc", "row-partitioned expand-sort-compress [15]",
        esc_column_spgemm, true},
-      {"outer_heap",
-       "outer product with incremental sorted-merge accumulation [23]",
-       outer_heap_spgemm, false},
       {"reference", "serial ordered-map gold standard (validation only)",
        reference_spgemm, false, all_semirings(), true},
   };

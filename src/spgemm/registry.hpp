@@ -23,7 +23,7 @@ struct AlgoInfo {
   /// The numeric (+, ×) kernel — what the paper's figures measure.
   SpGemmFn fn;
   /// False for algorithms that are quadratic-ish and only suitable for
-  /// validation-scale inputs (reference, outer_heap).
+  /// validation-scale inputs (reference).
   bool scales_to_large = true;
   /// Names of the built-in semirings this algorithm supports (always
   /// contains "plus_times"; see semiring_algorithm for the generalized

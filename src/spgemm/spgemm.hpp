@@ -61,10 +61,4 @@ mtx::CsrMatrix spa_spgemm(const SpGemmProblem& p);
 /// algorithms [15], [18] (Table II row 2).
 mtx::CsrMatrix esc_column_spgemm(const SpGemmProblem& p);
 
-/// Outer-product with incremental sorted-merge accumulation, after
-/// Buluç & Gilbert [23] (Table I upper-right cell).  O(k) merge rounds —
-/// the paper dismisses it as "too expensive"; included for completeness and
-/// gated to small problems in the benches.
-mtx::CsrMatrix outer_heap_spgemm(const SpGemmProblem& p);
-
 }  // namespace pbs

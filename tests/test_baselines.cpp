@@ -104,10 +104,10 @@ TEST_P(EveryAlgorithm, OutputIsCanonicalOnSkewedInput) {
 
 INSTANTIATE_TEST_SUITE_P(Algos, EveryAlgorithm,
                          ::testing::Values("pb", "heap", "hash", "hashvec",
-                                           "spa", "esc", "outer_heap"));
+                                           "spa", "esc"));
 
 TEST(Registry, KnowsAllAlgorithms) {
-  EXPECT_EQ(algorithms().size(), 8u);
+  EXPECT_EQ(algorithms().size(), 7u);
   EXPECT_EQ(algorithm("pb").name, "pb");
   EXPECT_THROW(algorithm("bogus"), std::invalid_argument);
 }
@@ -124,7 +124,6 @@ TEST(Registry, PaperComparisonSetIsTheFigureLineup) {
 TEST(Registry, ScalabilityFlags) {
   EXPECT_TRUE(algorithm("pb").scales_to_large);
   EXPECT_FALSE(algorithm("reference").scales_to_large);
-  EXPECT_FALSE(algorithm("outer_heap").scales_to_large);
 }
 
 }  // namespace

@@ -373,12 +373,12 @@ TEST(Executor, SameAggregateStructuresGetDistinctCacheEntries) {
 TEST(ExecutorConcurrency, BatchFanOutMatchesSerialAtEveryConcurrency) {
   // The batched run's phase-2 fan-out (worker threads over the workspace
   // pool) must be a pure scheduling change: op-order results identical to
-  // the serial batch, for a mix of semirings, masks and schedules.
+  // the serial batch, for a mix of semirings and masks.
   const mtx::CsrMatrix a = testutil::exact_er(220, 220, 5.0, 91);
   const mtx::CsrMatrix mask = testutil::exact_er(220, 220, 2.0, 92);
   const SpGemmProblem p = SpGemmProblem::square(a);
 
-  std::vector<SpGemmOp> ops(6);
+  std::vector<SpGemmOp> ops(5);
   ops[0].algo = "pb";
   ops[1].algo = "pb";
   ops[1].semiring = MinPlus::name;
@@ -388,8 +388,6 @@ TEST(ExecutorConcurrency, BatchFanOutMatchesSerialAtEveryConcurrency) {
   ops[3].mask = &mask;
   ops[3].complement = true;
   ops[4].algo = "auto";
-  ops[5].algo = "pb";
-  ops[5].pb.schedule = pb::PbSchedule::kPipeline;
 
   ExecutorOptions serial_opts;
   serial_opts.batch_concurrency = 1;

@@ -4,10 +4,9 @@
 // vs compress-stage filtering, and the fused elementwise post-op
 // (scale/prune/top-k) vs the separate mtx:: passes — over
 // {plus_times, min_plus, max_min, bool_or_and} x
-// {wide, narrow, key-only, narrow-f32} x {barrier, pipeline} x
-// {mask, complemented mask}; plus the PostOp spec parser and the
-// descriptor-layer validation rules (post-op x accumulate, post-op on a
-// value-free semiring).
+// {wide, narrow, key-only, narrow-f32} x {mask, complemented mask};
+// plus the PostOp spec parser and the descriptor-layer validation rules
+// (post-op x accumulate, post-op on a value-free semiring).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,17 +65,15 @@ mtx::CsrMatrix sorted_rows(mtx::CsrMatrix m) {
   return m;
 }
 
-std::string trace(const Variant& v, pb::PbSchedule sched) {
-  return std::string(v.semiring) + "/" + v.format_name +
-         (sched == pb::PbSchedule::kBarrier ? "/barrier" : "/pipeline");
+std::string trace(const Variant& v) {
+  return std::string(v.semiring) + "/" + v.format_name;
 }
 
-SpGemmOp pb_op(const Variant& v, pb::PbSchedule sched) {
+SpGemmOp pb_op(const Variant& v) {
   SpGemmOp op;
   op.algo = "pb";
   op.semiring = v.semiring;
   op.pb.format = v.format;
-  op.pb.schedule = sched;
   return op;
 }
 
@@ -84,8 +81,8 @@ SpGemmOp pb_op(const Variant& v, pb::PbSchedule sched) {
 
 // The tentpole claim: run(p, op, c_old) merges C during CSR conversion,
 // and the result is bit-identical to the explicit two-pass
-// semiring_ewise_add(c_old, product) it replaced — for every semiring,
-// tuple format and schedule.
+// semiring_ewise_add(c_old, product) it replaced — for every semiring
+// and tuple format.
 TEST(FusedEpilogue, AccumulateMatchesThePostPassAcrossTheVariantMatrix) {
   const mtx::CsrMatrix a = testutil::exact_er(220, 200, 5.0, 501);
   const mtx::CsrMatrix b = testutil::exact_er(200, 180, 5.0, 502);
@@ -94,18 +91,15 @@ TEST(FusedEpilogue, AccumulateMatchesThePostPassAcrossTheVariantMatrix) {
   SpGemmExecutor exec;
 
   for (const Variant& v : variant_matrix()) {
-    for (const pb::PbSchedule sched :
-         {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-      SCOPED_TRACE(trace(v, sched));
-      const SpGemmOp op = pb_op(v, sched);
-      const mtx::CsrMatrix product = exec.run(p, op);
-      const mtx::CsrMatrix expected =
-          semiring_ewise_add(op.semiring, c_old, product);
-      RunInfo info;
-      const mtx::CsrMatrix fused = exec.run(p, op, c_old, &info);
-      EXPECT_TRUE(info.used_pb);
-      EXPECT_TRUE(mtx::equal_exact(fused, expected));
-    }
+    SCOPED_TRACE(trace(v));
+    const SpGemmOp op = pb_op(v);
+    const mtx::CsrMatrix product = exec.run(p, op);
+    const mtx::CsrMatrix expected =
+        semiring_ewise_add(op.semiring, c_old, product);
+    RunInfo info;
+    const mtx::CsrMatrix fused = exec.run(p, op, c_old, &info);
+    EXPECT_TRUE(info.used_pb);
+    EXPECT_TRUE(mtx::equal_exact(fused, expected));
   }
 }
 
@@ -150,9 +144,9 @@ TEST(FusedEpilogue, AccumulateAlgebraicIdentities) {
 // ---- expand-stage masking -------------------------------------------------
 
 // Masking in the expand scatter loop (kOn) must produce the same C as
-// filtering at compress (kOff), for both mask polarities, every format
-// and both schedules — and when the expand mask runs, the compress
-// filter has nothing left to drop.
+// filtering at compress (kOff), for both mask polarities and every
+// format — and when the expand mask runs, the compress filter has
+// nothing left to drop.
 TEST(FusedEpilogue, ExpandMaskingMatchesCompressFilteringAcrossTheMatrix) {
   const mtx::CsrMatrix a = testutil::exact_er(200, 200, 5.0, 507);
   const mtx::CsrMatrix mask = testutil::exact_er(200, 200, 2.0, 508);
@@ -160,27 +154,23 @@ TEST(FusedEpilogue, ExpandMaskingMatchesCompressFilteringAcrossTheMatrix) {
   SpGemmExecutor exec;
 
   for (const Variant& v : variant_matrix()) {
-    for (const pb::PbSchedule sched :
-         {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-      for (const bool complement : {false, true}) {
-        SCOPED_TRACE(trace(v, sched) +
-                     (complement ? "/complement" : "/mask"));
-        SpGemmOp op = pb_op(v, sched);
-        op.mask = &mask;
-        op.complement = complement;
+    for (const bool complement : {false, true}) {
+      SCOPED_TRACE(trace(v) + (complement ? "/complement" : "/mask"));
+      SpGemmOp op = pb_op(v);
+      op.mask = &mask;
+      op.complement = complement;
 
-        op.pb.expand_mask = pb::ExpandMaskMode::kOff;
-        const mtx::CsrMatrix filtered = exec.run(p, op);
+      op.pb.expand_mask = pb::ExpandMaskMode::kOff;
+      const mtx::CsrMatrix filtered = exec.run(p, op);
 
-        op.pb.expand_mask = pb::ExpandMaskMode::kOn;
-        RunInfo info;
-        const mtx::CsrMatrix skipped = exec.run(p, op, &info);
+      op.pb.expand_mask = pb::ExpandMaskMode::kOn;
+      RunInfo info;
+      const mtx::CsrMatrix skipped = exec.run(p, op, &info);
 
-        EXPECT_TRUE(mtx::equal_exact(skipped, filtered));
-        EXPECT_TRUE(info.pb_stats.expand_masked);
-        EXPECT_EQ(info.pb_stats.mask_dropped, 0);
-        if (!complement) EXPECT_GT(info.pb_stats.mask_skipped_expand, 0);
-      }
+      EXPECT_TRUE(mtx::equal_exact(skipped, filtered));
+      EXPECT_TRUE(info.pb_stats.expand_masked);
+      EXPECT_EQ(info.pb_stats.mask_dropped, 0);
+      if (!complement) EXPECT_GT(info.pb_stats.mask_skipped_expand, 0);
     }
   }
 }
@@ -223,26 +213,23 @@ TEST(FusedEpilogue, PostOpMatchesTheSeparatePassesAcrossTheMatrix) {
 
   for (const Variant& v : variant_matrix()) {
     if (std::string(v.semiring) == "bool_or_and") continue;  // value-free
-    for (const pb::PbSchedule sched :
-         {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-      SCOPED_TRACE(trace(v, sched));
-      SpGemmOp plain = pb_op(v, sched);
-      const mtx::CsrMatrix product = exec.run(p, plain);
+    SCOPED_TRACE(trace(v));
+    SpGemmOp plain = pb_op(v);
+    const mtx::CsrMatrix product = exec.run(p, plain);
 
-      mtx::CsrMatrix gold = product;
-      for (value_t& val : gold.vals) val *= post.scale;
-      gold = sorted_rows(mtx::keep_top_k_per_row(
-          mtx::prune(gold, post.prune_threshold), post.top_k));
+    mtx::CsrMatrix gold = product;
+    for (value_t& val : gold.vals) val *= post.scale;
+    gold = sorted_rows(mtx::keep_top_k_per_row(
+        mtx::prune(gold, post.prune_threshold), post.top_k));
 
-      SpGemmOp op = plain;
-      op.post_op = post;
-      RunInfo info;
-      const mtx::CsrMatrix fused = exec.run(p, op, &info);
-      EXPECT_TRUE(info.used_pb);
-      EXPECT_TRUE(mtx::equal_exact(fused, gold));
-      EXPECT_EQ(info.pb_stats.post_dropped,
-                static_cast<nnz_t>(product.vals.size() - gold.vals.size()));
-    }
+    SpGemmOp op = plain;
+    op.post_op = post;
+    RunInfo info;
+    const mtx::CsrMatrix fused = exec.run(p, op, &info);
+    EXPECT_TRUE(info.used_pb);
+    EXPECT_TRUE(mtx::equal_exact(fused, gold));
+    EXPECT_EQ(info.pb_stats.post_dropped,
+              static_cast<nnz_t>(product.vals.size() - gold.vals.size()));
   }
 }
 

@@ -315,8 +315,8 @@ TEST(PbFormat, PredictionMatchesSymbolicForRangePolicy) {
 
 // ---- key-only (8 B) and narrow-f32 (8 B) formats -------------------------
 
-// Runs bool_or_and under forced-wide and under `policy`, across both
-// schedules, and requires bitwise-equal CSR everywhere.  Bit-identity is
+// Runs bool_or_and under forced-wide and under `policy` and requires
+// bitwise-equal CSR.  Bit-identity is
 // exact, not approximate: every surviving wide value is S::add/S::mul of
 // nonzeros = exactly 1.0, which is exactly what the key-only convert
 // synthesizes.
@@ -324,25 +324,19 @@ void expect_keyonly_matches_wide(const mtx::CscMatrix& a,
                                  const mtx::CsrMatrix& b, PbConfig cfg,
                                  FormatPolicy policy) {
   cfg.validate = true;
-  cfg.schedule = PbSchedule::kBarrier;
   cfg.format = FormatPolicy::kWide;
   PbWorkspace wide_ws;
   const PbResult wide = pb_spgemm<BoolOrAnd>(a, b, cfg, wide_ws);
   EXPECT_EQ(wide.stats.format, TupleFormat::kWide);
-  for (const PbSchedule sched : {PbSchedule::kBarrier, PbSchedule::kPipeline}) {
-    PbConfig kcfg = cfg;
-    kcfg.format = policy;
-    kcfg.schedule = sched;
-    PbWorkspace ws;
-    const PbResult keyonly = pb_spgemm<BoolOrAnd>(a, b, kcfg, ws);
-    EXPECT_EQ(keyonly.stats.format, TupleFormat::kKeyOnly)
-        << to_string(policy) << " schedule " << to_string(sched);
-    EXPECT_TRUE(mtx::equal_exact(wide.c, keyonly.c))
-        << to_string(policy) << " schedule " << to_string(sched);
-  }
+  PbConfig kcfg = cfg;
+  kcfg.format = policy;
+  PbWorkspace ws;
+  const PbResult keyonly = pb_spgemm<BoolOrAnd>(a, b, kcfg, ws);
+  EXPECT_EQ(keyonly.stats.format, TupleFormat::kKeyOnly) << to_string(policy);
+  EXPECT_TRUE(mtx::equal_exact(wide.c, keyonly.c)) << to_string(policy);
 }
 
-TEST(PbFormatKeyOnly, BitIdenticalToWideAcrossPoliciesAndSchedules) {
+TEST(PbFormatKeyOnly, BitIdenticalToWideAcrossPolicies) {
   const mtx::CsrMatrix m = testutil::exact_er(400, 400, 6.0, 44);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
   for (const BinPolicy policy :
@@ -449,18 +443,13 @@ TEST(PbFormatF32, BitIdenticalToWideOnExactValuesAcrossSemirings) {
     cfg.format = FormatPolicy::kWide;
     PbWorkspace wide_ws;
     const PbResult wide = pb_spgemm_named(s, a, m, cfg, wide_ws);
-    for (const PbSchedule sched :
-         {PbSchedule::kBarrier, PbSchedule::kPipeline}) {
-      PbConfig fcfg = cfg;
-      fcfg.format = FormatPolicy::kF32;
-      fcfg.schedule = sched;
-      PbWorkspace ws;
-      const PbResult f32 = pb_spgemm_named(s, a, m, fcfg, ws);
-      EXPECT_EQ(f32.stats.format, TupleFormat::kNarrowF32) << s;
-      EXPECT_EQ(f32.stats.tuple_bytes(), 8.0) << s;
-      EXPECT_TRUE(mtx::equal_exact(wide.c, f32.c))
-          << s << " schedule " << to_string(sched);
-    }
+    PbConfig fcfg = cfg;
+    fcfg.format = FormatPolicy::kF32;
+    PbWorkspace ws;
+    const PbResult f32 = pb_spgemm_named(s, a, m, fcfg, ws);
+    EXPECT_EQ(f32.stats.format, TupleFormat::kNarrowF32) << s;
+    EXPECT_EQ(f32.stats.tuple_bytes(), 8.0) << s;
+    EXPECT_TRUE(mtx::equal_exact(wide.c, f32.c)) << s;
   }
 }
 

@@ -116,38 +116,6 @@ TEST(PbTelemetry, ByteModelFollowsTableIIIPerFormat) {
   }
 }
 
-TEST(PbTelemetry, ScheduleReportedAndPipelineFillsOverlapFields) {
-  const mtx::CsrMatrix a = testutil::exact_er(600, 600, 6.0, 29);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-
-  PbConfig cfg;
-  cfg.schedule = PbSchedule::kBarrier;
-  const PbResult barrier = pb_spgemm(p.a_csc, p.b_csr, cfg);
-  EXPECT_EQ(barrier.stats.schedule, PbSchedule::kBarrier);
-  EXPECT_DOUBLE_EQ(barrier.stats.wall_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(barrier.stats.overlap_seconds(), 0.0);
-  EXPECT_EQ(barrier.stats.bins_stolen, 0);
-
-  cfg.schedule = PbSchedule::kPipeline;
-  cfg.validate = true;
-  const PbResult pipe = pb_spgemm(p.a_csc, p.b_csr, cfg);
-  EXPECT_TRUE(mtx::equal_exact(barrier.c, pipe.c));
-  EXPECT_EQ(pipe.stats.schedule, PbSchedule::kPipeline);
-  EXPECT_GT(pipe.stats.wall_seconds, 0.0);
-  EXPECT_GE(pipe.stats.bin_run_seconds, 0.0);
-  EXPECT_GE(pipe.stats.bin_wait_seconds, 0.0);
-  EXPECT_GE(pipe.stats.bins_stolen, 0);
-  // The pipelined total uses the overlapped wall, never the sum of the
-  // (mutually overlapping) per-phase busy times.
-  EXPECT_NEAR(pipe.stats.total_seconds(),
-              pipe.stats.symbolic.seconds + pipe.stats.wall_seconds, 1e-12);
-  // Byte models are schedule-independent (Table III counts traffic, not
-  // scheduling).
-  EXPECT_DOUBLE_EQ(barrier.stats.expand.bytes, pipe.stats.expand.bytes);
-  EXPECT_DOUBLE_EQ(barrier.stats.sort.bytes, pipe.stats.sort.bytes);
-  EXPECT_DOUBLE_EQ(barrier.stats.compress.bytes, pipe.stats.compress.bytes);
-}
-
 TEST(PbTelemetry, NbinsReported) {
   const mtx::CsrMatrix a = testutil::exact_er(256, 256, 4.0, 26);
   const SpGemmProblem p = SpGemmProblem::square(a);

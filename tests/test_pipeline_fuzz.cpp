@@ -258,68 +258,5 @@ TEST_P(PipelineFuzz, RandomOpChainMatchesDenseMirror) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// --- Schedule equivalence -------------------------------------------------
-//
-// The pipelined per-bin dataflow (PbSchedule::kPipeline) reorders WHEN each
-// bin is sorted/compressed relative to the expand phase and WHO runs it
-// (work stealing), but every bin still goes through the identical
-// sort → compress → count → scatter sequence on the identical tuple data.
-// The output must therefore be bit-identical to the barrier schedule —
-// not approximately equal: same rowptr, same colids, same vals, for every
-// semiring, both tuple formats, and every descriptor variant (plain,
-// masked, complemented mask, accumulate).  Values are small exact
-// integers (exact_er), so even floating semiring adds are exact and any
-// divergence is a scheduling bug, not roundoff.
-class ScheduleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ScheduleFuzz, PipelineBitIdenticalToBarrierAcrossDescriptors) {
-  mtx::SplitMix64 rng(GetParam());
-  const auto n = static_cast<index_t>(48 + rng.next_below(64));
-  const double density = 3.0 + static_cast<double>(rng.next_below(4));
-  const mtx::CsrMatrix a = testutil::exact_er(n, n, density, GetParam() + 500);
-  const mtx::CsrMatrix mask = testutil::exact_er(n, n, 2.0, GetParam() + 600);
-  const mtx::CsrMatrix acc = testutil::exact_er(n, n, 2.0, GetParam() + 700);
-  const SpGemmProblem problem = SpGemmProblem::square(a);
-
-  // All four stream formats: keyonly engages for bool_or_and (valued
-  // semirings fall back to the auto choice — still a schedule-identity
-  // check), f32 is exact on these small-integer values.
-  const pb::FormatPolicy formats[] = {
-      pb::FormatPolicy::kWide, pb::FormatPolicy::kNarrow,
-      pb::FormatPolicy::kKeyOnly, pb::FormatPolicy::kF32};
-  enum Variant { kPlain, kMasked, kComplement, kAccumulate, kVariants };
-  for (const std::string& semiring : semiring_names()) {
-    for (const pb::FormatPolicy fmt : formats) {
-      for (int variant = 0; variant < kVariants; ++variant) {
-        const auto run = [&](pb::PbSchedule sched) {
-          SpGemmOp op;
-          op.algo = "pb";
-          op.semiring = semiring;
-          op.pb.format = fmt;
-          op.pb.schedule = sched;
-          op.pb.validate = true;  // arm both schedules' invariant checks
-          if (variant == kMasked || variant == kComplement) {
-            op.mask = &mask;
-            op.complement = variant == kComplement;
-          }
-          op.accumulate = variant == kAccumulate;
-          SpGemmPlan plan = make_plan(problem, op);
-          return variant == kAccumulate ? plan.execute(problem, acc)
-                                        : plan.execute(problem);
-        };
-        const mtx::CsrMatrix barrier = run(pb::PbSchedule::kBarrier);
-        const mtx::CsrMatrix pipeline = run(pb::PbSchedule::kPipeline);
-        ASSERT_TRUE(pipeline.valid());
-        ASSERT_TRUE(mtx::equal_exact(barrier, pipeline))
-            << "schedules diverged: semiring " << semiring << ", format "
-            << static_cast<int>(fmt) << ", variant " << variant;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleFuzz,
-                         ::testing::Range<std::uint64_t>(1, 7));
-
 }  // namespace
 }  // namespace pbs

@@ -60,12 +60,9 @@ TEST_P(SpGemmProperty, OutputNnzMatchesSymbolic) {
 
 std::vector<PropertyCase> make_cases() {
   std::vector<PropertyCase> cases;
-  for (const char* algo :
-       {"pb", "heap", "hash", "hashvec", "spa", "esc", "outer_heap"}) {
+  for (const char* algo : {"pb", "heap", "hash", "hashvec", "spa", "esc"}) {
     for (const char* family : {"er", "rmat", "banded"}) {
       for (int size_class : {0, 1}) {
-        // outer_heap is O(k · nnz): keep it on small inputs.
-        if (std::string(algo) == "outer_heap" && size_class > 0) continue;
         for (std::uint64_t seed : {1ull, 2ull}) {
           cases.push_back({algo, family, size_class, seed});
         }

@@ -1,6 +1,6 @@
 // Hardened-serving robustness: deterministic fault injection (allocation
-// failures and phase-boundary throws at every pipeline stage, both
-// schedules, all tuple formats), memory-budget degradation at plan time
+// failures and phase-boundary throws at every PB phase, every tuple
+// format, at one and two threads), memory-budget degradation at plan time
 // and run time, deadlines and cooperative cancellation, strong exception
 // safety (leases returned, plan cache consistent, the next non-faulted
 // run bit-identical to a fresh executor), strict input validation, and
@@ -17,6 +17,7 @@
 #include "common/cancel.hpp"
 #include "common/errors.hpp"
 #include "common/fault.hpp"
+#include "common/parallel.hpp"
 #include "matrix/matrix_market.hpp"
 #include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
@@ -42,13 +43,11 @@ mtx::CsrMatrix fresh_run(const SpGemmProblem& p, const SpGemmOp& op) {
   return exec.run(p, op);
 }
 
-SpGemmOp pb_op(pb::PbSchedule schedule,
-               pb::FormatPolicy format = pb::FormatPolicy::kAuto,
+SpGemmOp pb_op(pb::FormatPolicy format = pb::FormatPolicy::kAuto,
                const std::string& semiring = "plus_times") {
   SpGemmOp op;
   op.algo = "pb";
   op.semiring = semiring;
-  op.pb.schedule = schedule;
   op.pb.format = format;
   return op;
 }
@@ -59,40 +58,36 @@ SpGemmOp pb_op(pb::PbSchedule schedule,
 // the run re-execute through the row-wise fallback (degrade_reason
 // "oom"); the executor keeps the cached PB plan, so the immediately
 // following non-faulted run serves the PB path bit-identically to a
-// fresh executor.  Swept over both schedules and several fault indices
-// so the failure lands in different phases.
+// fresh executor.  Swept over several fault indices so the failure lands
+// in different phases.
 TEST(ExecutorFault, AllocFailureDegradesThenNextRunIsIdentical) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 41);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const pb::PbSchedule sched :
-       {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-    const SpGemmOp op = pb_op(sched);
-    const mtx::CsrMatrix ref = fresh_run(p, op);
-    for (const std::int64_t n : {0, 1, 2, 4, 8}) {
-      FaultGuard guard;
-      SpGemmExecutor exec;  // cold pool: the run must allocate
-      FaultInjector::fail_alloc_after(n);
-      RunInfo info;
-      const mtx::CsrMatrix c = exec.run(p, op, &info);
-      FaultInjector::reset();  // n past the run's allocation count: disarm
-      EXPECT_TRUE(mtx::equal_exact(c, ref))
-          << "schedule " << static_cast<int>(sched) << ", fault n = " << n;
-      if (n == 0) {  // the first allocation always exists -> always fires
-        EXPECT_TRUE(info.degraded);
-        EXPECT_EQ(info.degrade_reason, "oom");
-        EXPECT_NE(info.algo, "pb");
-      }
-      EXPECT_EQ(exec.pool_stats().in_flight, 0u);
-
-      // Survive-then-serve: the same executor, un-faulted, returns to
-      // the PB plan and reproduces the fresh result exactly.
-      RunInfo retry;
-      EXPECT_TRUE(mtx::equal_exact(exec.run(p, op, &retry), ref));
-      EXPECT_FALSE(retry.degraded);
-      if (info.degraded) EXPECT_TRUE(retry.used_pb);
-      const ExecutorStats es = exec.stats();
-      EXPECT_EQ(es.degraded_runs, es.oom_fallbacks);
+  const SpGemmOp op = pb_op();
+  const mtx::CsrMatrix ref = fresh_run(p, op);
+  for (const std::int64_t n : {0, 1, 2, 4, 8}) {
+    FaultGuard guard;
+    SpGemmExecutor exec;  // cold pool: the run must allocate
+    FaultInjector::fail_alloc_after(n);
+    RunInfo info;
+    const mtx::CsrMatrix c = exec.run(p, op, &info);
+    FaultInjector::reset();  // n past the run's allocation count: disarm
+    EXPECT_TRUE(mtx::equal_exact(c, ref)) << "fault n = " << n;
+    if (n == 0) {  // the first allocation always exists -> always fires
+      EXPECT_TRUE(info.degraded);
+      EXPECT_EQ(info.degrade_reason, "oom");
+      EXPECT_NE(info.algo, "pb");
     }
+    EXPECT_EQ(exec.pool_stats().in_flight, 0u);
+
+    // Survive-then-serve: the same executor, un-faulted, returns to the
+    // PB plan and reproduces the fresh result exactly.
+    RunInfo retry;
+    EXPECT_TRUE(mtx::equal_exact(exec.run(p, op, &retry), ref));
+    EXPECT_FALSE(retry.degraded);
+    if (info.degraded) EXPECT_TRUE(retry.used_pb);
+    const ExecutorStats es = exec.stats();
+    EXPECT_EQ(es.degraded_runs, es.oom_fallbacks);
   }
 }
 
@@ -111,8 +106,7 @@ TEST(ExecutorFault, AllocFailureDegradesForEveryTupleFormat) {
         Case{pb::FormatPolicy::kNarrow, "plus_times"},
         Case{pb::FormatPolicy::kF32, "plus_times"},
         Case{pb::FormatPolicy::kKeyOnly, "bool_or_and"}}) {
-    const SpGemmOp op =
-        pb_op(pb::PbSchedule::kBarrier, cs.format, cs.semiring);
+    const SpGemmOp op = pb_op(cs.format, cs.semiring);
     const mtx::CsrMatrix ref = fresh_run(p, op);
     FaultGuard guard;
     SpGemmExecutor exec;
@@ -136,7 +130,7 @@ TEST(ExecutorFault, AllocFailureDegradesForEveryTupleFormat) {
 TEST(ExecutorFault, PhaseThrowPropagatesAndExecutorRecovers) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 43);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kBarrier);
+  const SpGemmOp op = pb_op();
   const mtx::CsrMatrix ref = fresh_run(p, op);
   for (const FaultPoint point :
        {FaultPoint::kPlanBuild, FaultPoint::kExpand,
@@ -152,20 +146,102 @@ TEST(ExecutorFault, PhaseThrowPropagatesAndExecutorRecovers) {
   }
 }
 
-// The pipeline schedule funnels a worker-thread throw through its
-// exception_ptr capture and rethrows it intact after the region joins.
-TEST(ExecutorFault, PipelinePlanBuildThrowThenServes) {
+// ---- per-format contracts at one and two threads -------------------------
+
+/// One tuple format forced explicitly (never through auto), at a thread
+/// count.  Key-only needs a value-free semiring, so it runs bool_or_and.
+struct ContractCase {
+  pb::FormatPolicy policy;
+  pb::TupleFormat format;
+  const char* semiring;
+  const char* name;
+  int threads;
+};
+
+void PrintTo(const ContractCase& cs, std::ostream* os) {
+  *os << cs.name << " at " << cs.threads << " thread(s)";
+}
+
+class PbContract : public ::testing::TestWithParam<ContractCase> {};
+
+// Every phase fault hook fires for every format: throw_at(phase) surfaces
+// as the typed FaultInjectedError from SpGemmExecutor::run, every lease
+// comes back, and the next run on the same executor is bit-identical to
+// an unfaulted one.
+TEST_P(PbContract, PhaseFaultSurfacesTypedThenNextRunIsIdentical) {
+  const ContractCase& cs = GetParam();
+  const ThreadCountGuard threads(cs.threads);
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 44);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kPipeline);
-  const mtx::CsrMatrix ref = fresh_run(p, op);
-  FaultGuard guard;
-  SpGemmExecutor exec;
-  FaultInjector::throw_at(FaultPoint::kPlanBuild);
-  EXPECT_THROW(exec.run(p, op), FaultInjectedError);
-  EXPECT_EQ(exec.pool_stats().in_flight, 0u);
-  EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref));
+  const SpGemmOp op = pb_op(cs.policy, cs.semiring);
+  RunInfo clean;
+  const mtx::CsrMatrix ref = SpGemmExecutor().run(p, op, &clean);
+  ASSERT_TRUE(clean.used_pb);
+  ASSERT_EQ(clean.pb_stats.format, cs.format);
+  for (const FaultPoint point : {FaultPoint::kExpand,
+                                 FaultPoint::kSortCompress,
+                                 FaultPoint::kConvert}) {
+    FaultGuard guard;
+    SpGemmExecutor exec;
+    FaultInjector::throw_at(point);
+    EXPECT_THROW(exec.run(p, op), FaultInjectedError)
+        << fault_point_name(point);
+    EXPECT_EQ(exec.pool_stats().in_flight, 0u) << fault_point_name(point);
+    EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref))
+        << fault_point_name(point);
+  }
 }
+
+// The phases run one after another, so their seconds sum to the run's
+// total, which fits inside the run's wall time measured from outside.
+TEST_P(PbContract, PhaseSecondsSumToTotal) {
+  const ContractCase& cs = GetParam();
+  const ThreadCountGuard threads(cs.threads);
+  const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 44);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  const SpGemmOp op = pb_op(cs.policy, cs.semiring);
+  SpGemmExecutor exec;
+  exec.prepare(p, op);
+  RunInfo info;
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)exec.run(p, op, &info);
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(info.used_pb);
+  const pb::PbTelemetry& t = info.pb_stats;
+  EXPECT_EQ(t.format, cs.format);
+  EXPECT_GT(t.expand.seconds, 0.0);
+  EXPECT_GE(t.sort.seconds, 0.0);
+  EXPECT_GE(t.compress.seconds, 0.0);
+  EXPECT_GT(t.convert.seconds, 0.0);
+  EXPECT_NEAR(t.total_seconds(),
+              t.symbolic.seconds + t.expand.seconds + t.sort.seconds +
+                  t.compress.seconds + t.convert.seconds,
+              1e-12);
+  EXPECT_LE(t.total_seconds(), wall.count());
+}
+
+std::vector<ContractCase> contract_cases() {
+  std::vector<ContractCase> cases;
+  for (const int threads : {1, 2}) {
+    cases.push_back({pb::FormatPolicy::kWide, pb::TupleFormat::kWide,
+                     "plus_times", "wide", threads});
+    cases.push_back({pb::FormatPolicy::kNarrow, pb::TupleFormat::kNarrow,
+                     "plus_times", "narrow", threads});
+    cases.push_back({pb::FormatPolicy::kKeyOnly, pb::TupleFormat::kKeyOnly,
+                     "bool_or_and", "keyonly", threads});
+    cases.push_back({pb::FormatPolicy::kF32, pb::TupleFormat::kNarrowF32,
+                     "plus_times", "f32", threads});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, PbContract, ::testing::ValuesIn(contract_cases()),
+    [](const ::testing::TestParamInfo<ContractCase>& info) {
+      return std::string(info.param.name) + "_t" +
+             std::to_string(info.param.threads);
+    });
 
 // A failing batch worker drains its siblings (they unwind as cancelled)
 // but the ROOT CAUSE is what propagates — not the induced cancellation —
@@ -198,28 +274,24 @@ TEST(ExecutorFault, BatchWorkerThrowPropagatesRootCauseThenServes) {
 
 // ---- deadlines and cancellation -------------------------------------------
 
-// A per-run timeout with forced-slow bins unwinds with DeadlineError (in
-// both schedules), returns every lease, and leaves the executor serving.
+// A per-run timeout with forced-slow bins unwinds with DeadlineError,
+// returns every lease, and leaves the executor serving.
 TEST(ExecutorDeadline, TimeoutUnwindsWithDeadlineErrorThenServes) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 46);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const pb::PbSchedule sched :
-       {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-    const SpGemmOp op = pb_op(sched);
-    const mtx::CsrMatrix ref = fresh_run(p, op);
-    FaultGuard guard;
-    SpGemmExecutor exec;
-    exec.prepare(p, op);  // plan outside the deadline window
-    FaultInjector::slow_bin(20);
-    RunOptions ropts;
-    ropts.timeout = 1ms;
-    EXPECT_THROW(exec.run(p, op, ropts), DeadlineError)
-        << "schedule " << static_cast<int>(sched);
-    FaultInjector::reset();
-    EXPECT_EQ(exec.pool_stats().in_flight, 0u);
-    EXPECT_GE(exec.stats().cancelled, 1u);
-    EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref));
-  }
+  const SpGemmOp op = pb_op();
+  const mtx::CsrMatrix ref = fresh_run(p, op);
+  FaultGuard guard;
+  SpGemmExecutor exec;
+  exec.prepare(p, op);  // plan outside the deadline window
+  FaultInjector::slow_bin(20);
+  RunOptions ropts;
+  ropts.timeout = 1ms;
+  EXPECT_THROW(exec.run(p, op, ropts), DeadlineError);
+  FaultInjector::reset();
+  EXPECT_EQ(exec.pool_stats().in_flight, 0u);
+  EXPECT_GE(exec.stats().cancelled, 1u);
+  EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref));
 }
 
 // An absolute deadline already in the past stops the run before any
@@ -231,9 +303,9 @@ TEST(ExecutorDeadline, ExpiredDeadlineStopsBeforeWork) {
   SpGemmExecutor exec;
   RunOptions ropts;
   ropts.deadline = std::chrono::steady_clock::now() - 1s;
-  EXPECT_THROW(exec.run(p, pb_op(pb::PbSchedule::kAuto), ropts),
+  EXPECT_THROW(exec.run(p, pb_op(), ropts),
                DeadlineError);
-  EXPECT_THROW(exec.run(p, pb_op(pb::PbSchedule::kAuto), ropts),
+  EXPECT_THROW(exec.run(p, pb_op(), ropts),
                CancelledError);
   EXPECT_EQ(exec.stats().cancelled, 2u);
   EXPECT_EQ(exec.pool_stats().in_flight, 0u);
@@ -245,7 +317,7 @@ TEST(ExecutorDeadline, ExpiredDeadlineStopsBeforeWork) {
 TEST(ExecutorDeadline, ExternalTokenAndEpochCancellation) {
   const mtx::CsrMatrix a = testutil::exact_er(100, 100, 4.0, 48);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   SpGemmExecutor exec;
   const mtx::CsrMatrix ref = exec.run(p, op);
 
@@ -266,7 +338,7 @@ TEST(ExecutorDeadline, ExternalTokenAndEpochCancellation) {
 TEST(ExecutorCancelStress, RacingCancelEitherCompletesOrUnwindsCleanly) {
   const mtx::CsrMatrix a = testutil::exact_er(500, 500, 8.0, 49);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   SpGemmExecutor exec;
   const mtx::CsrMatrix ref = exec.run(p, op);  // warm plan + pool
   for (int i = 0; i < 8; ++i) {
@@ -297,7 +369,7 @@ TEST(ExecutorCancelStress, RacingCancelEitherCompletesOrUnwindsCleanly) {
 TEST(ExecutorBudget, TinyBudgetDegradesAtPlanTime) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 50);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   const mtx::CsrMatrix ref = fresh_run(p, op);
   ExecutorOptions eo;
   eo.mem_budget_bytes = 64 * 1024;  // far below the expand stream
@@ -318,7 +390,7 @@ TEST(ExecutorBudget, TinyBudgetDegradesAtPlanTime) {
 TEST(ExecutorBudget, AmpleBudgetRunsThePbPlanUnchanged) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 51);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   const mtx::CsrMatrix ref = fresh_run(p, op);
   ExecutorOptions eo;
   eo.mem_budget_bytes = std::size_t{1} << 30;
@@ -338,7 +410,7 @@ TEST(ExecutorValidate, StrictModeRejectsMalformedOperands) {
   ExecutorOptions eo;
   eo.validate_inputs = true;
   SpGemmExecutor exec(eo);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   EXPECT_NO_THROW(exec.run(SpGemmProblem::square(a), op));
 
   // Un-sort a row's column ids (safe to convert, invalid to multiply).
@@ -486,7 +558,7 @@ TEST(FaultEnvCtest, AllocFaultFromEnvironmentDegradesThenServes) {
   }
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 54);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   SpGemmExecutor exec;
   RunInfo info;
   const mtx::CsrMatrix c = exec.run(p, op, &info);
@@ -507,7 +579,7 @@ TEST(FaultEnvCtest, PhaseThrowFromEnvironmentPropagatesThenServes) {
   }
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 55);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kBarrier);
+  const SpGemmOp op = pb_op();
   SpGemmExecutor exec;
   EXPECT_THROW(exec.run(p, op), FaultInjectedError);
   EXPECT_EQ(exec.pool_stats().in_flight, 0u);

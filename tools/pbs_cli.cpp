@@ -4,7 +4,6 @@
 //                    [--halfwidth W] [--seed S] --out FILE.mtx
 //   pbs_cli stats    --a FILE.mtx
 //   pbs_cli multiply --a FILE.mtx [--b FILE.mtx] [--algo pb|auto|...]
-//                    [--schedule auto|barrier|pipeline]
 //                    [--reps R] [--repeat N] [--out FILE.mtx]
 //                    [--semiring plus_times]
 //                    [--mask FILE.mtx] [--complement]
@@ -127,21 +126,13 @@ int cmd_stats(const Cli& cli) {
 
 void print_pb_phases(const pb::PbTelemetry& tm) {
   std::cout << "  format " << to_string(tm.format) << " ("
-            << tm.tuple_bytes() << " B/tuple), schedule "
-            << to_string(tm.schedule) << ", symbolic "
+            << tm.tuple_bytes() << " B/tuple), symbolic "
             << tm.symbolic.seconds * 1e3 << " ms, expand "
             << tm.expand.seconds * 1e3 << " ms (" << tm.expand.gbs()
             << " GB/s), sort " << tm.sort.seconds * 1e3 << " ms ("
             << tm.sort.gbs() << " GB/s), compress "
             << tm.compress.seconds * 1e3 << " ms, convert "
             << tm.convert.seconds * 1e3 << " ms\n";
-  if (tm.schedule == pb::PbSchedule::kPipeline) {
-    std::cout << "  pipeline: numeric wall " << tm.wall_seconds * 1e3
-              << " ms, overlap hidden " << tm.overlap_seconds() * 1e3
-              << " ms, bin wait " << tm.bin_wait_seconds * 1e3
-              << " ms, bin run " << tm.bin_run_seconds * 1e3 << " ms, "
-              << tm.bins_stolen << " bin(s) stolen\n";
-  }
 }
 
 // Executor path: analyze + select once into the executor's plan cache,
@@ -156,13 +147,11 @@ int multiply_planned(const Cli& cli, const SpGemmProblem& problem,
                      bool amortization_report,
                      const mtx::CsrMatrix* mask = nullptr,
                      bool complement = false,
-                     pb::PbSchedule schedule = pb::PbSchedule::kAuto,
                      const PostOp& post_op = {}) {
   SpGemmOp opts;
   opts.algo = algo;
   opts.semiring = semiring;
   opts.pb.format = format;
-  opts.pb.schedule = schedule;
   opts.mask = mask;
   opts.complement = complement;
   opts.post_op = post_op;
@@ -327,14 +316,6 @@ void check_format_legal(pb::FormatPolicy format, const std::string& semiring) {
   }
 }
 
-pb::PbSchedule parse_schedule(const std::string& name) {
-  if (name == "auto") return pb::PbSchedule::kAuto;
-  if (name == "barrier") return pb::PbSchedule::kBarrier;
-  if (name == "pipeline") return pb::PbSchedule::kPipeline;
-  throw std::invalid_argument("unknown --schedule '" + name +
-                              "' (auto, barrier, pipeline)");
-}
-
 int cmd_multiply(const Cli& cli) {
   const mtx::CsrMatrix a =
       mtx::coo_to_csr(mtx::read_matrix_market(cli.require("a")));
@@ -347,8 +328,6 @@ int cmd_multiply(const Cli& cli) {
   const pb::FormatPolicy format =
       parse_format(cli.get("format").value_or("auto"));
   if (cli.get("format")) check_format_legal(format, semiring);
-  const pb::PbSchedule schedule =
-      parse_schedule(cli.get("schedule").value_or("auto"));
   const SpGemmProblem problem = SpGemmProblem::multiply(a, b);
 
   if (repeat > 0 && reps > 1) {
@@ -388,8 +367,7 @@ int cmd_multiply(const Cli& cli) {
     return multiply_planned(cli, problem, algo, semiring, format,
                             std::max(execs, 1),
                             /*amortization_report=*/repeat > 0,
-                            mask ? &*mask : nullptr, complement, schedule,
-                            post_op);
+                            mask ? &*mask : nullptr, complement, post_op);
   }
 
   // Resolve through the (algorithm × semiring) registry first: unknown
@@ -403,7 +381,6 @@ int cmd_multiply(const Cli& cli) {
     // telemetry rather than going through the type-erased registry fn.
     pb::PbConfig cfg;
     cfg.format = format;
-    cfg.schedule = schedule;
     pb::PbWorkspace ws;
     pb::PbResult best;
     for (int i = 0; i < reps; ++i) {
@@ -568,7 +545,6 @@ void usage() {
       "  stats    --a FILE.mtx\n"
       "  multiply --a FILE.mtx [--b FILE.mtx] [--algo NAME|auto] [--semiring NAME]\n"
       "           [--format auto|wide|narrow|keyonly|f32]\n"
-      "           [--schedule auto|barrier|pipeline]\n"
       "           [--reps R] [--repeat N] [--out FILE.mtx]\n"
       "           [--mask FILE.mtx] [--complement]\n"
       "           [--post-op prune:T,topk:K,scale:X]\n"
@@ -587,10 +563,6 @@ void usage() {
       "`pbs_cli info` for the support matrix).  --algo auto selects\n"
       "pb/hash/heap from the roofline model and reports why; --repeat N\n"
       "plans once and executes N times, reporting the amortized cost.\n"
-      "--schedule picks PB's phase scheduling: barrier (three fork-join\n"
-      "phases) or pipeline (per-bin task dataflow with work stealing);\n"
-      "auto pipelines at >1 thread.  Pipelined runs report the numeric\n"
-      "wall, the busy time the overlap hid, and bins stolen.\n"
       "--mask M restricts the output to M's pattern with the mask fused\n"
       "into the kernel (a sparse mask skips tuple generation at expand, a\n"
       "dense one drops at compress; both counts are reported);\n"
