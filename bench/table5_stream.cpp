@@ -83,8 +83,7 @@ std::vector<TupleStreamPoint> run_tuple_streams(std::size_t tuples, int reps) {
       }
       const double s = t.elapsed_s();
       const double gbs =
-          s > 0 ? 2.0 *
-                      static_cast<double>(tuples * pb::kBytesPerTupleNarrow) /
+          s > 0 ? 2.0 * static_cast<double>(tuples * pb::NarrowStream::kBytes) /
                       s / 1e9
                 : 0.0;
       if (r > 0 && gbs > best) best = gbs;
@@ -112,9 +111,7 @@ std::vector<TupleStreamPoint> run_tuple_streams(std::size_t tuples, int reps) {
       const double s = t.elapsed_s();
       const double gbs =
           s > 0
-              ? 2.0 *
-                    static_cast<double>(tuples *
-                                        pb::kBytesPerTupleNarrowF32) /
+              ? 2.0 * static_cast<double>(tuples * pb::F32Stream::kBytes) /
                     s / 1e9
               : 0.0;
       if (r > 0 && gbs > best) best = gbs;

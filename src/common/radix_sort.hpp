@@ -126,7 +126,7 @@ void radix_sort(Record* a, std::size_t n) {
 /// L2-latency chain per element.  The LSD scatter has fully independent
 /// iterations the core can overlap, at the cost of n extra records of
 /// scratch.  PB-SpGEMM's bins are sized to half of L2 precisely so that
-/// bin + scratch stay cache-resident (pb/sort_compress.cpp), making this
+/// bin + scratch stay cache-resident (pb/sort_compress.hpp), making this
 /// the faster choice for the per-bin sort; the in-place variant remains for
 /// callers without scratch to spare.
 ///

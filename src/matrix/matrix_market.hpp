@@ -5,7 +5,7 @@
 // `coordinate` matrices with real/integer/pattern fields and
 // general/symmetric/skew-symmetric symmetry — enough for all twelve
 // matrices in the paper.  When the files are unavailable (offline), the
-// surrogate generators in surrogates.hpp stand in; see DESIGN.md §3.
+// surrogate generators in surrogates.hpp stand in.
 #pragma once
 
 #include <iosfwd>

@@ -11,7 +11,7 @@
 //    which is the property Fig. 11's conclusion depends on ("PB-SpGEMM wins
 //    iff cf < 4", paper Sec. V-B / VI).
 //
-// Surrogate recipes (DESIGN.md §3):
+// Surrogate recipes:
 //  * FEM / discretization matrices (2cubes_sphere, cage12, cant, hood,
 //    majorbasis, mc2depi, offshore, scircuit, amazon0505) → banded matrices
 //    with half-bandwidth w ≈ d² / (4·cf): a band of that width makes A²'s

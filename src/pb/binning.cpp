@@ -61,6 +61,10 @@ const char* to_string(TupleFormat f) {
   return "?";
 }
 
+double PbTelemetry::tuple_bytes() const {
+  return static_cast<double>(bytes_per_tuple(format));
+}
+
 int BinLayout::local_row_bits(index_t nrows) const {
   if (nrows <= 0) return 0;
   index_t max_local = 0;

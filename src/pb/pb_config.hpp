@@ -16,7 +16,6 @@
 #include "common/post_op.hpp"
 #include "common/types.hpp"
 #include "matrix/csr.hpp"
-#include "pb/tuple.hpp"
 
 namespace pbs {
 class CancelToken;
@@ -47,6 +46,17 @@ enum class FormatPolicy {
 };
 
 const char* to_string(FormatPolicy p);
+
+/// Physical layout of the expanded tuple stream a plan runs with; each
+/// value is one stream policy in pb/tuple.hpp.
+enum class TupleFormat {
+  kWide,       ///< AoS {u64 key, f64 val}, 16 B/tuple
+  kNarrow,     ///< SoA u32 bin-relative key + f64 val, 12 B/tuple
+  kKeyOnly,    ///< u64 global key, no value array, 8 B/tuple (value-free)
+  kNarrowF32,  ///< SoA u32 bin-relative key + f32 val, 8 B/tuple
+};
+
+const char* to_string(TupleFormat f);
 
 /// Whether the expand phase applies the fused output mask while scattering
 /// tuples (skipping generation of masked-out tuples entirely) or leaves the
@@ -189,9 +199,7 @@ struct PbTelemetry {
   /// phase byte models above were computed with).
   TupleFormat format = TupleFormat::kWide;
 
-  [[nodiscard]] double tuple_bytes() const {
-    return static_cast<double>(bytes_per_tuple(format));
-  }
+  [[nodiscard]] double tuple_bytes() const;
 
   [[nodiscard]] double cf() const {
     return nnz_c > 0 ? static_cast<double>(flop) / static_cast<double>(nnz_c) : 0.0;

@@ -33,37 +33,15 @@ void PbWorkspace::place_bins(std::span<const nnz_t> bin_offsets,
   std::byte* base = buf_.data();
   const int nthreads = max_threads();
 
-  // Byte range of bin b in the pool: one region wide (16 B tuples) and
-  // key-only (8 B keys, no value block at all), two for the narrow
-  // formats (the key block, then the value block at key_span(total) — 8 B
-  // values for kNarrow, 4 B for kNarrowF32).
+  // Byte ranges of bin b in the pool: one per lane of the format's stream
+  // (the AoS tuples, or the key block and, unless key-only, the value
+  // block that follows it).
   auto touch_bin = [&](std::size_t b) {
-    const auto lo = static_cast<std::size_t>(bin_offsets[b]);
-    const auto hi = static_cast<std::size_t>(bin_offsets[b + 1]);
-    switch (format) {
-      case TupleFormat::kWide:
-        touch_pages(base + lo * sizeof(Tuple), base + hi * sizeof(Tuple));
-        break;
-      case TupleFormat::kKeyOnly:
-        touch_pages(base + lo * sizeof(wide_key_t),
-                    base + hi * sizeof(wide_key_t));
-        break;
-      case TupleFormat::kNarrow: {
-        touch_pages(base + lo * sizeof(narrow_key_t),
-                    base + hi * sizeof(narrow_key_t));
-        std::byte* vals = base + key_span(total);
-        touch_pages(vals + lo * sizeof(value_t), vals + hi * sizeof(value_t));
-        break;
-      }
-      case TupleFormat::kNarrowF32: {
-        touch_pages(base + lo * sizeof(narrow_key_t),
-                    base + hi * sizeof(narrow_key_t));
-        std::byte* vals = base + key_span(total);
-        touch_pages(vals + lo * sizeof(f32_val_t),
-                    vals + hi * sizeof(f32_val_t));
-        break;
-      }
-    }
+    visit(format, [&]<typename St>(St) {
+      St::carve(base, total).for_each_lane(
+          static_cast<std::size_t>(bin_offsets[b]),
+          static_cast<std::size_t>(bin_offsets[b + 1]), touch_pages);
+    });
   };
 
   // Each bin is touched by exactly ONE thread — a thread on the bin's

@@ -16,10 +16,12 @@
 // SpGEMM, (min, +) shortest-path relaxation, (max, min) bottleneck paths
 // and (∨, ∧) boolean reachability.  Entries that combine to S::zero()
 // stay structurally present (exact-cancellation convention, matching
-// spgemm_semiring).  The four built-in semirings are explicitly
-// instantiated in the .cpp files, so instantiation cost is paid once and
-// the pre-semiring non-template entry points keep their ABI; pb_spgemm<S>
-// with a custom S additionally needs the *_impl.hpp headers.
+// spgemm_semiring).  The four built-in semirings and DynSemiring, the
+// bridge to semirings registered at runtime (spgemm/op.hpp), are
+// explicitly instantiated in the .cpp files, so instantiation cost is paid
+// once and the pre-semiring non-template entry points keep their ABI;
+// pb_spgemm<S> with a custom S additionally needs pb_spgemm_impl.hpp and
+// plan_impl.hpp.
 //
 // Every phase streams memory; the returned telemetry pairs each phase's
 // wall time with the Table III byte model so callers can report sustained
@@ -82,20 +84,6 @@ struct MemoryBudget {
   }
 };
 
-/// The narrow tuple stream: parallel key/value arrays carved from one
-/// workspace allocation (SoA counterpart of `Tuple*`; see pb/tuple.hpp).
-struct NarrowStream {
-  narrow_key_t* keys = nullptr;
-  value_t* vals = nullptr;
-};
-
-/// The narrow-f32 tuple stream: u32 keys paired with f32 values (8 B per
-/// tuple; see pb/tuple.hpp).
-struct NarrowF32Stream {
-  narrow_key_t* keys = nullptr;
-  f32_val_t* vals = nullptr;
-};
-
 /// Pooling allocator for the pipeline's scratch memory: the expanded
 /// matrix Cˆ (flop tuples — the largest allocation of the algorithm, often
 /// several times the inputs) plus the per-thread radix-sort scratch of the
@@ -119,7 +107,7 @@ struct NarrowF32Stream {
 /// Reuse statistics distinguish calls served from pooled capacity from
 /// calls that had to (re)allocate — the plan/execute layer exposes them so
 /// tests and benches can assert that steady-state executions allocate
-/// nothing.  One acquire (wide or narrow) is one pipeline execution's
+/// nothing.  One acquire (of any format) is one pipeline execution's
 /// tuple-buffer request.  Not thread-safe across concurrent pipelines; the
 /// per-thread scratch slots are safe to fill from inside one pipeline's
 /// parallel region (each slot belongs to one OpenMP thread).
@@ -175,54 +163,31 @@ class PbWorkspace {
   /// this workspace.
   void set_budget(MemoryBudget* budget) { budget_ = budget; }
 
-  /// Wide-format buffer for at least n tuples; contents undefined.  Grows
+  /// Stream of format St (pb/tuple.hpp) with room for at least n tuples,
+  /// carved from the pool; contents undefined.  Reserves exactly
+  /// St::bytes(n) — a format pays only for the lanes it has.  Grows
   /// geometrically, never shrinks.
-  Tuple* acquire(std::size_t n) {
+  template <typename St>
+  St acquire(std::size_t n) {
     note_request(n);
     const std::uint64_t before = stats_.allocations;
-    Tuple* t = reinterpret_cast<Tuple*>(
-        ensure(buf_, stats_.allocations, stats_.reuses, n * sizeof(Tuple)));
+    std::byte* base =
+        ensure(buf_, stats_.allocations, stats_.reuses, St::bytes(n));
     fresh_ = stats_.allocations != before;
-    return t;
+    return St::carve(base, n);
   }
 
-  /// Narrow-format key + value arrays for at least n tuples, carved from
-  /// the same pool as acquire(); contents undefined.  The value array
-  /// starts on a cache-line boundary.
+  // Named wide and narrow forms of acquire<St>.  perfbench/'s run_phases
+  // calls them with these exact signatures, and that directory is frozen
+  // by BENCHMARK.json, so they stay as one-line forwarders.
+  Tuple* acquire(std::size_t n) { return acquire<WideStream>(n).tuples; }
   NarrowStream acquire_narrow(std::size_t n) {
-    note_request(n);
-    const std::uint64_t before = stats_.allocations;
-    std::byte* base = ensure(buf_, stats_.allocations, stats_.reuses,
-                             narrow_bytes(n));
-    fresh_ = stats_.allocations != before;
-    return carve_narrow(base, n);
+    return acquire<NarrowStream>(n);
   }
 
-  /// Key-only buffer for at least n tuples (n·8 bytes — the format has no
-  /// value array, so nothing else is reserved); contents undefined.
-  wide_key_t* acquire_keys(std::size_t n) {
-    note_request(n);
-    const std::uint64_t before = stats_.allocations;
-    auto* k = reinterpret_cast<wide_key_t*>(ensure(
-        buf_, stats_.allocations, stats_.reuses, n * sizeof(wide_key_t)));
-    fresh_ = stats_.allocations != before;
-    return k;
-  }
-
-  /// Narrow-f32 key + value arrays for at least n tuples; the value array
-  /// starts on a cache-line boundary.  Contents undefined.
-  NarrowF32Stream acquire_narrow_f32(std::size_t n) {
-    note_request(n);
-    const std::uint64_t before = stats_.allocations;
-    std::byte* base = ensure(buf_, stats_.allocations, stats_.reuses,
-                             narrow_f32_bytes(n));
-    fresh_ = stats_.allocations != before;
-    return carve_narrow_f32(base, n);
-  }
-
-  /// True when the most recent acquire()/acquire_narrow() had to
-  /// (re)allocate the tuple pool — its pages are unmapped and their NUMA
-  /// placement is still up for grabs (first-touch pending).
+  /// True when the most recent acquire had to (re)allocate the tuple
+  /// pool — its pages are unmapped and their NUMA placement is still up
+  /// for grabs (first-touch pending).
   [[nodiscard]] bool last_acquire_allocated() const { return fresh_; }
 
   /// NUMA-aware first touch of the most recent acquire's per-bin regions:
@@ -247,36 +212,14 @@ class PbWorkspace {
     }
   }
 
-  /// Per-thread sort scratch of at least n tuples; contents undefined.
-  /// Each slot is owned by one thread, so slots carry their own counters
-  /// (aggregated in stats()) without synchronization.
-  Tuple* acquire_scratch(std::size_t slot, std::size_t n) {
+  /// Per-thread sort scratch: a stream of format St with room for at
+  /// least n tuples; contents undefined.  Each slot is owned by one
+  /// thread, so slots carry their own counters (aggregated in stats())
+  /// without synchronization.
+  template <typename St>
+  St acquire_scratch(std::size_t slot, std::size_t n) {
     ScratchSlot& s = scratch_[slot];
-    return reinterpret_cast<Tuple*>(
-        ensure(s.buf, s.allocations, s.reuses, n * sizeof(Tuple)));
-  }
-
-  /// Narrow-format per-thread sort scratch (key + value arrays of n).
-  NarrowStream acquire_scratch_narrow(std::size_t slot, std::size_t n) {
-    ScratchSlot& s = scratch_[slot];
-    std::byte* base = ensure(s.buf, s.allocations, s.reuses, narrow_bytes(n));
-    return carve_narrow(base, n);
-  }
-
-  /// Key-only per-thread sort scratch of at least n keys (n·8 bytes).
-  wide_key_t* acquire_scratch_keys(std::size_t slot, std::size_t n) {
-    ScratchSlot& s = scratch_[slot];
-    return reinterpret_cast<wide_key_t*>(
-        ensure(s.buf, s.allocations, s.reuses, n * sizeof(wide_key_t)));
-  }
-
-  /// Narrow-f32 per-thread sort scratch (key + f32 value arrays of n).
-  NarrowF32Stream acquire_scratch_narrow_f32(std::size_t slot,
-                                             std::size_t n) {
-    ScratchSlot& s = scratch_[slot];
-    std::byte* base =
-        ensure(s.buf, s.allocations, s.reuses, narrow_f32_bytes(n));
-    return carve_narrow_f32(base, n);
+    return St::carve(ensure(s.buf, s.allocations, s.reuses, St::bytes(n)), n);
   }
 
   /// Retained pool capacity in bytes.
@@ -307,31 +250,6 @@ class PbWorkspace {
   void note_request(std::size_t n) {
     ++stats_.acquires;
     stats_.peak_request = std::max(stats_.peak_request, n);
-  }
-
-  /// Keys, padded to a cache line, then values.
-  static std::size_t narrow_bytes(std::size_t n) {
-    return key_span(n) + n * sizeof(value_t);
-  }
-
-  static std::size_t key_span(std::size_t n) {
-    return (n * sizeof(narrow_key_t) + kCacheLineBytes - 1) /
-           kCacheLineBytes * kCacheLineBytes;
-  }
-
-  static NarrowStream carve_narrow(std::byte* base, std::size_t n) {
-    return {reinterpret_cast<narrow_key_t*>(base),
-            reinterpret_cast<value_t*>(base + key_span(n))};
-  }
-
-  /// Keys, padded to a cache line, then f32 values.
-  static std::size_t narrow_f32_bytes(std::size_t n) {
-    return key_span(n) + n * sizeof(f32_val_t);
-  }
-
-  static NarrowF32Stream carve_narrow_f32(std::byte* base, std::size_t n) {
-    return {reinterpret_cast<narrow_key_t*>(base),
-            reinterpret_cast<f32_val_t*>(base + key_span(n))};
   }
 
   std::byte* ensure(AlignedBuffer<std::byte>& buf, std::uint64_t& allocations,

@@ -1,7 +1,7 @@
 // Template definition of the plan-execute stage (see plan.hpp).  Included
 // by plan.cpp, which explicitly instantiates pb_execute<S> for the
-// built-in semirings — include this header (plus expand_impl.hpp and
-// sort_compress_impl.hpp) directly only to instantiate a custom semiring.
+// built-in semirings — include this header directly only to instantiate a
+// custom semiring.
 #pragma once
 
 #include <stdexcept>
@@ -12,7 +12,6 @@
 #include "common/timer.hpp"
 #include "pb/expand.hpp"
 #include "pb/output.hpp"
-#include "pb/output_accum.hpp"
 #include "pb/plan.hpp"
 #include "pb/sort_compress.hpp"
 
@@ -34,7 +33,8 @@ inline void validate_epilogue(const PbEpilogue& epi, TupleFormat fmt,
     throw std::invalid_argument(
         "pb_execute: accumulate operand shape does not match the product");
   }
-  if (epi.post_op.active() && fmt == TupleFormat::kKeyOnly) {
+  if (epi.post_op.active() &&
+      !visit(fmt, [](auto s) { return decltype(s)::kHasValues; })) {
     throw std::invalid_argument(
         "pb_execute: elementwise post-ops need a valued tuple stream; the "
         "key-only format carries no values (value-free semiring)");
@@ -67,7 +67,6 @@ PbResult pb_execute(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   run_cfg.cancel = cancel;
 
   const SymbolicResult& sym = plan.sym;
-  const TupleFormat fmt = sym.format;
   const int nbins = sym.layout.nbins;
   PbResult result;
   PbTelemetry& tm = result.stats;
@@ -101,180 +100,98 @@ PbResult pb_execute(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     actual_fill = actual_fill_vec.data();
   }
 
-  // ---- expand (S::mul; key-only skips the multiply entirely) ----
-  FaultInjector::at(FaultPoint::kExpand);
-  timer.reset();
-  const auto buf_len = static_cast<std::size_t>(sym.bin_offsets.back());
-  Tuple* expanded = nullptr;
-  NarrowStream ns;
-  NarrowF32Stream nf;
-  wide_key_t* keys_only = nullptr;
-  switch (fmt) {
-    case TupleFormat::kNarrow:
-      ns = workspace.acquire_narrow(buf_len);
-      workspace.place_bins(sym.bin_offsets, sym.bin_home, fmt);
-      pb_expand_narrow<S>(a, b, sym, run_cfg, ns.keys, ns.vals, emask,
-                          actual_fill);
-      break;
-    case TupleFormat::kNarrowF32:
-      nf = workspace.acquire_narrow_f32(buf_len);
-      workspace.place_bins(sym.bin_offsets, sym.bin_home, fmt);
-      pb_expand_narrow_f32<S>(a, b, sym, run_cfg, nf.keys, nf.vals, emask,
-                              actual_fill);
-      break;
-    case TupleFormat::kKeyOnly:
-      keys_only = workspace.acquire_keys(buf_len);
-      workspace.place_bins(sym.bin_offsets, sym.bin_home, fmt);
-      pb_expand_keyonly(a, b, sym, run_cfg, keys_only, emask, actual_fill);
-      break;
-    case TupleFormat::kWide:
-      expanded = workspace.acquire(buf_len);
-      workspace.place_bins(sym.bin_offsets, sym.bin_home, fmt);
-      pb_expand<S>(a, b, sym, run_cfg, expanded, emask, actual_fill);
-      break;
-  }
-  throw_if_stopped(cancel);
-  tm.expand.seconds = timer.elapsed_s();
-  // Tuples this run actually generated: flop, minus whatever the fused
-  // expand mask skipped in the scatter loops.
-  nnz_t generated = sym.flop;
-  if (expand_masked) {
-    generated = 0;
-    for (const nnz_t f : actual_fill_vec) generated += f;
-    tm.mask_skipped_expand = sym.flop - generated;
-    tm.expand_masked = true;
-  }
-  // Table III: read both inputs once (at the paper's wide COO cost), write
-  // the generated tuples at the stream format's cost (skipped tuples are
-  // never multiplied or written — the point of expand masking).
-  tm.expand.bytes =
-      static_cast<double>(kBytesPerTuple) *
-          (static_cast<double>(a.nnz()) + static_cast<double>(b.nnz())) +
-      bpt * static_cast<double>(generated);
-
-  // ---- sort + compress (fused per bin, timed separately; S::add) ----
-  // The fused mask rides here too — unless expand already applied it, in
-  // which case every surviving tuple is in-mask by construction and the
-  // filter is skipped.  The elementwise post-op (epi.post_op) runs in the
-  // same per-bin filter stage while the bin is cache-hot.
-  FaultInjector::at(FaultPoint::kSortCompress);
-  timer.reset();
-  const std::span<const nnz_t> fills =
-      expand_masked ? std::span<const nnz_t>(actual_fill_vec)
-                    : std::span<const nnz_t>(sym.bin_fill);
-  const MaskSpec cmask = expand_masked ? MaskSpec{} : mask;
-  SortCompressResult sc;
-  switch (fmt) {
-    case TupleFormat::kNarrow:
-      sc = pb_sort_compress_narrow<S>(ns.keys, ns.vals, sym.bin_offsets,
-                                      fills, nbins, &workspace, cmask,
-                                      &sym.layout, sym.col_bits, cancel,
-                                      epi.post_op);
-      break;
-    case TupleFormat::kNarrowF32:
-      sc = pb_sort_compress_narrow_f32<S>(nf.keys, nf.vals, sym.bin_offsets,
-                                          fills, nbins, &workspace, cmask,
-                                          &sym.layout, sym.col_bits, cancel,
-                                          epi.post_op);
-      break;
-    case TupleFormat::kKeyOnly:
-      sc = pb_sort_compress_keyonly(keys_only, sym.bin_offsets, fills, nbins,
-                                    &workspace, cmask, cancel);
-      break;
-    case TupleFormat::kWide:
-      sc = pb_sort_compress<S>(expanded, sym.bin_offsets, fills, nbins,
-                               &workspace, cmask, cancel, epi.post_op);
-      break;
-  }
-  throw_if_stopped(cancel);
-  const double sc_wall = timer.elapsed_s();
-  // Attribute the fused loop's wall time proportionally to the measured
-  // per-thread busy times (their ratio is exact; the split of idle time is
-  // the approximation).
-  const double busy = sc.sort_seconds + sc.compress_seconds;
-  const double sort_share = busy > 0 ? sc.sort_seconds / busy : 0.5;
-  tm.sort.seconds = sc_wall * sort_share;
-  tm.compress.seconds = sc_wall * (1.0 - sort_share);
-  // Table III: the sort streams the bin in (shuffles are in-cache); the
-  // compress writes every merged tuple — including the ones the mask and
-  // post-op then discard in-cache (reads are in-cache).
-  tm.sort.bytes = bpt * static_cast<double>(generated);
-  nnz_t nnz_c = 0;
-  for (const nnz_t m : sc.merged) nnz_c += m;
-  tm.nnz_c = nnz_c;
-  tm.mask_dropped = sc.mask_dropped;
-  tm.post_dropped = sc.post_dropped;
-  tm.compress.bytes =
-      bpt * static_cast<double>(nnz_c + sc.mask_dropped + sc.post_dropped);
-
-  // ---- convert to CSR (semiring-independent; key-only synthesizes the
-  // present-value, f32 widens back to the library's f64 CSR).  With an
-  // accumulate epilogue the conversion union-merges C's rows per bin
-  // instead (output_accum.hpp) — the post-pass never runs. ----
-  FaultInjector::at(FaultPoint::kConvert);
-  timer.reset();
-  if (epi.accumulate != nullptr) {
-    const mtx::CsrMatrix& c_old = *epi.accumulate;
-    switch (fmt) {
-      case TupleFormat::kNarrow:
-        result.c = pb_build_csr_accum_narrow<S>(
-            ns.keys, ns.vals, sym.bin_offsets, sc.merged, c_old, sym.layout,
-            sym.col_bits, a.nrows, b.ncols, cancel);
-        break;
-      case TupleFormat::kNarrowF32:
-        result.c = pb_build_csr_accum_narrow_f32<S>(
-            nf.keys, nf.vals, sym.bin_offsets, sc.merged, c_old, sym.layout,
-            sym.col_bits, a.nrows, b.ncols, cancel);
-        break;
-      case TupleFormat::kKeyOnly:
-        result.c = pb_build_csr_accum_keyonly<S>(
-            keys_only, sym.bin_offsets, sc.merged, c_old, sym.layout, a.nrows,
-            b.ncols, 1.0, cancel);
-        break;
-      case TupleFormat::kWide:
-        result.c =
-            pb_build_csr_accum<S>(expanded, sym.bin_offsets, sc.merged, c_old,
-                                  sym.layout, a.nrows, b.ncols, cancel);
-        break;
+  // Every phase below runs on the plan's stream policy (pb/tuple.hpp).
+  visit(sym.format, [&]<typename St>(St) {
+    // ---- expand (S::mul; key-only skips the multiply entirely) ----
+    FaultInjector::at(FaultPoint::kExpand);
+    timer.reset();
+    const St stream =
+        workspace.acquire<St>(static_cast<std::size_t>(sym.bin_offsets.back()));
+    workspace.place_bins(sym.bin_offsets, sym.bin_home, sym.format);
+    pb_expand<S>(a, b, sym, run_cfg, stream, emask, actual_fill);
+    throw_if_stopped(cancel);
+    tm.expand.seconds = timer.elapsed_s();
+    // Tuples this run actually generated: flop, minus whatever the fused
+    // expand mask skipped in the scatter loops.
+    nnz_t generated = sym.flop;
+    if (expand_masked) {
+      generated = 0;
+      for (const nnz_t f : actual_fill_vec) generated += f;
+      tm.mask_skipped_expand = sym.flop - generated;
+      tm.expand_masked = true;
     }
-  } else {
-    switch (fmt) {
-      case TupleFormat::kNarrow:
-        result.c = pb_build_csr_narrow(ns.keys, ns.vals, sym.bin_offsets,
-                                       sc.merged, sym.layout, sym.col_bits,
-                                       a.nrows, b.ncols, cancel);
-        break;
-      case TupleFormat::kNarrowF32:
-        result.c = pb_build_csr_narrow_f32(nf.keys, nf.vals, sym.bin_offsets,
-                                           sc.merged, sym.layout,
-                                           sym.col_bits, a.nrows, b.ncols,
-                                           cancel);
-        break;
-      case TupleFormat::kKeyOnly:
-        result.c = pb_build_csr_keyonly(keys_only, sym.bin_offsets, sc.merged,
-                                        a.nrows, b.ncols, 1.0, cancel);
-        break;
-      case TupleFormat::kWide:
-        result.c = pb_build_csr(expanded, sym.bin_offsets, sc.merged, a.nrows,
-                                b.ncols, cancel);
-        break;
+    // Table III: read both inputs once (at the paper's wide COO cost), write
+    // the generated tuples at the stream format's cost (skipped tuples are
+    // never multiplied or written — the point of expand masking).
+    tm.expand.bytes =
+        static_cast<double>(kBytesPerTuple) *
+            (static_cast<double>(a.nnz()) + static_cast<double>(b.nnz())) +
+        bpt * static_cast<double>(generated);
+
+    // ---- sort + compress (fused per bin, timed separately; S::add) ----
+    // The fused mask rides here too — unless expand already applied it, in
+    // which case every surviving tuple is in-mask by construction and the
+    // filter is skipped.  The elementwise post-op (epi.post_op) runs in the
+    // same per-bin filter stage while the bin is cache-hot.
+    FaultInjector::at(FaultPoint::kSortCompress);
+    timer.reset();
+    const std::span<const nnz_t> fills =
+        expand_masked ? std::span<const nnz_t>(actual_fill_vec)
+                      : std::span<const nnz_t>(sym.bin_fill);
+    const MaskSpec cmask = expand_masked ? MaskSpec{} : mask;
+    const SortCompressResult sc = pb_sort_compress<S>(
+        stream, sym.bin_offsets, fills, nbins, &workspace, cmask, &sym.layout,
+        sym.col_bits, cancel, epi.post_op);
+    throw_if_stopped(cancel);
+    const double sc_wall = timer.elapsed_s();
+    // Attribute the fused loop's wall time proportionally to the measured
+    // per-thread busy times (their ratio is exact; the split of idle time is
+    // the approximation).
+    const double busy = sc.sort_seconds + sc.compress_seconds;
+    const double sort_share = busy > 0 ? sc.sort_seconds / busy : 0.5;
+    tm.sort.seconds = sc_wall * sort_share;
+    tm.compress.seconds = sc_wall * (1.0 - sort_share);
+    // Table III: the sort streams the bin in (shuffles are in-cache); the
+    // compress writes every merged tuple — including the ones the mask and
+    // post-op then discard in-cache (reads are in-cache).
+    tm.sort.bytes = bpt * static_cast<double>(generated);
+    nnz_t nnz_c = 0;
+    for (const nnz_t m : sc.merged) nnz_c += m;
+    tm.nnz_c = nnz_c;
+    tm.mask_dropped = sc.mask_dropped;
+    tm.post_dropped = sc.post_dropped;
+    tm.compress.bytes =
+        bpt * static_cast<double>(nnz_c + sc.mask_dropped + sc.post_dropped);
+
+    // ---- convert to CSR (semiring-independent; key-only synthesizes the
+    // present-value, f32 widens back to the library's f64 CSR).  With an
+    // accumulate epilogue the conversion union-merges C's rows per bin
+    // instead (pb/output.hpp) — the post-pass never runs. ----
+    FaultInjector::at(FaultPoint::kConvert);
+    timer.reset();
+    result.c =
+        epi.accumulate != nullptr
+            ? pb_accumulate_csr<S>(stream, sym.bin_offsets, sc.merged,
+                                   *epi.accumulate, sym.layout, sym.col_bits,
+                                   a.nrows, b.ncols, cancel)
+            : pb_build_csr(stream, sym.bin_offsets, sc.merged, &sym.layout,
+                           sym.col_bits, a.nrows, b.ncols, cancel);
+    throw_if_stopped(cancel);
+    tm.convert.seconds = timer.elapsed_s();
+    // Reads the merged tuples, writes colids+vals and two rowptr passes;
+    // an accumulate additionally streams C_old in and writes the union.
+    tm.convert.bytes =
+        (bpt + static_cast<double>(sizeof(index_t) + sizeof(value_t))) *
+            static_cast<double>(nnz_c) +
+        2.0 * static_cast<double>(sizeof(nnz_t)) * static_cast<double>(a.nrows);
+    if (epi.accumulate != nullptr) {
+      const auto entry =
+          static_cast<double>(sizeof(index_t) + sizeof(value_t));
+      tm.convert.bytes +=
+          entry * static_cast<double>(epi.accumulate->nnz()) +  // C_old in
+          entry * static_cast<double>(result.c.nnz() - nnz_c);  // extra out
     }
-  }
-  throw_if_stopped(cancel);
-  tm.convert.seconds = timer.elapsed_s();
-  // Reads the merged tuples, writes colids+vals and two rowptr passes;
-  // an accumulate additionally streams C_old in and writes the union.
-  tm.convert.bytes =
-      (bpt + static_cast<double>(sizeof(index_t) + sizeof(value_t))) *
-          static_cast<double>(nnz_c) +
-      2.0 * static_cast<double>(sizeof(nnz_t)) * static_cast<double>(a.nrows);
-  if (epi.accumulate != nullptr) {
-    const auto entry =
-        static_cast<double>(sizeof(index_t) + sizeof(value_t));
-    tm.convert.bytes +=
-        entry * static_cast<double>(epi.accumulate->nnz()) +       // C_old in
-        entry * static_cast<double>(result.c.nnz() - nnz_c);       // extra out
-  }
+  });
 
   return result;
 }

@@ -11,6 +11,7 @@
 #include "common/numa.hpp"
 #include "common/parallel.hpp"
 #include "common/prefix_sum.hpp"
+#include "pb/tuple.hpp"
 
 namespace pbs::pb {
 
@@ -229,16 +230,13 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   counts.pop_back();  // drop the scan-scratch slot
   out.bin_fill = counts;
 
-  // Region layout: pad every bin to a cache-line-multiple boundary so full
-  // local-bin flushes are line aligned (see SymbolicResult): 4 wide tuples
-  // are one 64 B line; 16 narrow tuples are one 64 B key line (and two
-  // value lines — or one f32 value line); 8 key-only tuples are one 64 B
-  // line.  Key-only has no value lanes at all, so the byte pool sized
-  // from these offsets charges 8 B/tuple — zero-width values.
-  const nnz_t pad = (out.format == TupleFormat::kNarrow ||
-                     out.format == TupleFormat::kNarrowF32)
-                        ? 16
-                        : (out.format == TupleFormat::kKeyOnly ? 8 : 4);
+  // Region layout: pad every bin to a whole number of its format's 64 B
+  // key lines (4 wide tuples, 16 narrow or f32 keys, 8 key-only keys) so
+  // full local-bin flushes are line aligned on every lane (see
+  // SymbolicResult).  Key-only has no value lane at all, so the byte pool
+  // sized from these offsets charges it 8 B/tuple.
+  const nnz_t pad =
+      visit(out.format, [](auto s) { return decltype(s)::kLineTuples; });
   out.bin_offsets.assign(static_cast<std::size_t>(out.layout.nbins) + 1, 0);
   nnz_t cursor = 0;
   nnz_t total_fill = 0;

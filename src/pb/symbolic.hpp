@@ -44,11 +44,10 @@ struct SymbolicResult {
   /// Number of distinct nodes bin_home spans (>= 1).
   int numa_nodes = 1;
 
-  /// Stream format the plan selected (pb/tuple.hpp) and, for kNarrow, the
-  /// column bit width of the packed key.  pb_execute dispatches the
-  /// format-matched kernels from these; the per-phase entry points
-  /// (pb_expand / pb_expand_narrow, ...) are format-specific by name and
-  /// ignore them.
+  /// Stream format the plan selected (pb/tuple.hpp) and, for the
+  /// bin-relative key formats, the column bit width of the packed key.
+  /// pb_execute dispatches the format's stream policy from these; the
+  /// per-phase entry points take the policy as their stream argument.
   TupleFormat format = TupleFormat::kWide;
   int col_bits = 0;
 

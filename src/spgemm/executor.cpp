@@ -512,7 +512,7 @@ struct SpGemmExecutor::Impl {
           const pb::WorkspacePool::Lease lease = pool.acquire();
           const pb::MaskSpec mask{entry->op.mask, entry->op.complement};
           // The epilogue rides INTO the kernels: an accumulation target
-          // merges during CSR conversion (pb/output_accum.hpp) and the
+          // merges during CSR conversion (pb/output.hpp) and the
           // post-op applies in the per-bin filter stage — neither the
           // plain product nor the unpruned C is ever materialized.
           const pb::PbEpilogue epi{accumulate, entry->op.post_op};

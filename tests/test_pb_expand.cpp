@@ -52,7 +52,7 @@ TEST_P(ExpandPolicy, ProducesExactTupleMultiset) {
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
 
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  pb_expand<PlusTimes>(ops.a, ops.b, sym, cfg, out.data());
 
   // Same multiset of (key, value) pairs as brute force.  Only the filled
   // prefix of each (padded) bin region holds tuples.
@@ -82,7 +82,7 @@ TEST_P(ExpandPolicy, TuplesLandInTheirBins) {
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
 
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  pb_expand<PlusTimes>(ops.a, ops.b, sym, cfg, out.data());
 
   for (int bin = 0; bin < sym.layout.nbins; ++bin) {
     for (nnz_t i = sym.bin_offsets[static_cast<std::size_t>(bin)];
@@ -110,7 +110,8 @@ TEST(Expand, TinyLocalBinsStillCorrect) {
   cfg.validate = true;
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  const nnz_t flushes = pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  const nnz_t flushes =
+      pb_expand<PlusTimes>(ops.a, ops.b, sym, cfg, out.data());
   EXPECT_EQ(flushes, sym.flop);  // every tuple flushed individually
 }
 
@@ -121,7 +122,8 @@ TEST(Expand, WideLocalBinsFlushRarely) {
   cfg.local_bin_bytes = 4096;
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  const nnz_t flushes = pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  const nnz_t flushes =
+      pb_expand<PlusTimes>(ops.a, ops.b, sym, cfg, out.data());
   EXPECT_LT(flushes, sym.flop / 16);
 }
 
@@ -141,7 +143,7 @@ TEST(Expand, ValueProductsAreExact) {
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
   ASSERT_EQ(sym.flop, 4);
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  pb_expand<PlusTimes>(ops.a, ops.b, sym, cfg, out.data());
   std::vector<std::pair<std::uint64_t, value_t>> got;
   for (int bin = 0; bin < sym.layout.nbins; ++bin) {
     for (nnz_t i = 0; i < sym.bin_fill[static_cast<std::size_t>(bin)]; ++i) {

@@ -2,14 +2,17 @@
 // selection, bit-identity of the narrow and wide paths across semirings
 // and bin policies, and the format boundaries — col_bits at the 32-bit
 // fit edge, single-row bins, empty bins, the wide fallback, and exact
-// cancellation.
+// cancellation — plus the per-phase API of every stream policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
+#include "common/parallel.hpp"
 #include "pb/binning.hpp"
 #include "pb/expand.hpp"
 #include "pb/output.hpp"
@@ -273,28 +276,6 @@ TEST(PbFormat, WideKvSortBitIdenticalToReferenceAcrossPolicies) {
   }
 }
 
-TEST(PbFormat, WideKvSortWithoutWorkspaceScratch) {
-  // The no-workspace fallback allocates per-thread scratch locally; the
-  // SoA carve must fit it the same way.
-  const mtx::CsrMatrix m = testutil::exact_er(300, 300, 5.0, 62);
-  const mtx::CscMatrix a = mtx::csr_to_csc(m);
-  const SymbolicResult sym = [&] {
-    PbConfig cfg;
-    cfg.format = FormatPolicy::kWide;
-    return pb_symbolic(a, m, cfg);
-  }();
-  std::vector<Tuple> buf(static_cast<std::size_t>(sym.bin_offsets.back()));
-  PbConfig cfg;
-  cfg.format = FormatPolicy::kWide;
-  pb_expand<PlusTimes>(a, m, sym, cfg, buf.data());
-  const SortCompressResult sc = pb_sort_compress<PlusTimes>(
-      buf.data(), sym.bin_offsets, sym.bin_fill, sym.layout.nbins, nullptr);
-  const mtx::CsrMatrix c =
-      pb_build_csr(buf.data(), sym.bin_offsets, sc.merged, a.nrows, m.ncols);
-  EXPECT_TRUE(
-      mtx::equal_exact(c, reference_spgemm(SpGemmProblem::square(m))));
-}
-
 TEST(PbFormat, PredictionMatchesSymbolicForRangePolicy) {
   for (const auto& [nrows, ncols, density] :
        {std::tuple{200, 200, 4.0}, std::tuple{2000, 2000, 8.0}}) {
@@ -470,39 +451,95 @@ TEST(PbFormatF32, FallsBackToWideWhenBitsDontFit) {
   EXPECT_EQ(plan.sym.format, TupleFormat::kWide);
 }
 
-TEST(PbFormatF32, NativeF32CsrBuilder) {
-  // The no-widening output path: drive the f32 pipeline by hand and build
-  // a native CsrF32, then check it against the wide result narrowed.
-  const mtx::CsrMatrix m = testutil::exact_er(200, 200, 5.0, 48);
-  const mtx::CscMatrix a = mtx::csr_to_csc(m);
-  PbConfig cfg;
-  cfg.format = FormatPolicy::kF32;
-  const SymbolicResult sym = pb_symbolic(a, m, cfg);
-  ASSERT_EQ(sym.format, TupleFormat::kNarrowF32);
+// The phase API over each stream policy (pb/tuple.hpp), driven by hand:
+// generic expand -> sort_compress -> convert (plain or fused-accumulate)
+// must reproduce pb_execute bit for bit at one thread, with and without
+// workspace scratch, a mask and an accumulate operand.  Key-only needs a
+// value-free semiring, so it runs bool_or_and; the valued streams run
+// plus_times.
+class PbStreamPhases
+    : public ::testing::TestWithParam<testutil::StreamFormat> {};
 
-  std::vector<narrow_key_t> keys(
-      static_cast<std::size_t>(sym.bin_offsets.back()));
-  std::vector<f32_val_t> vals(keys.size());
-  pb_expand_narrow_f32<PlusTimes>(a, m, sym, cfg, keys.data(), vals.data());
-  const SortCompressResult sc = pb_sort_compress_narrow_f32<PlusTimes>(
-      keys.data(), vals.data(), sym.bin_offsets, sym.bin_fill,
-      sym.layout.nbins, nullptr, {}, &sym.layout, sym.col_bits);
-  const CsrF32 c32 = pb_build_csr_narrow_f32_native(
-      keys.data(), vals.data(), sym.bin_offsets, sc.merged, sym.layout,
-      sym.col_bits, a.nrows, m.ncols);
+TEST_P(PbStreamPhases, GenericPhasesMatchPbExecuteBitForBit) {
+  visit(GetParam().format, [&]<typename St>(St) {
+    using S = std::conditional_t<St::kHasValues, PlusTimes, BoolOrAnd>;
+    const ThreadCountGuard one_thread(1);
 
-  const mtx::CsrMatrix expected = reference_spgemm(SpGemmProblem::square(m));
-  ASSERT_EQ(c32.nnz(), expected.nnz());
-  ASSERT_EQ(c32.rowptr.size(), expected.rowptr.size());
-  for (std::size_t i = 0; i < expected.rowptr.size(); ++i) {
-    ASSERT_EQ(c32.rowptr[i], expected.rowptr[i]) << "rowptr " << i;
-  }
-  for (std::size_t i = 0; i < c32.colids.size(); ++i) {
-    ASSERT_EQ(c32.colids[i], expected.colids[i]) << "colid " << i;
-    ASSERT_EQ(c32.vals[i], static_cast<f32_val_t>(expected.vals[i]))
-        << "val " << i;
-  }
+    const mtx::CsrMatrix m = testutil::exact_er(300, 300, 5.0, 62);
+    const mtx::CscMatrix a = mtx::csr_to_csc(m);
+    const mtx::CsrMatrix mask = testutil::exact_er(300, 300, 30.0, 63);
+    const mtx::CsrMatrix c_old = testutil::exact_er(300, 300, 3.0, 64);
+
+    PbConfig cfg;
+    cfg.format = St::kFormat == TupleFormat::kWide     ? FormatPolicy::kWide
+                 : St::kFormat == TupleFormat::kNarrow ? FormatPolicy::kNarrow
+                 : St::kHasValues ? FormatPolicy::kF32
+                                  : FormatPolicy::kKeyOnly;
+    cfg.value_free = !St::kHasValues;
+    cfg.expand_mask = ExpandMaskMode::kOff;  // the mask filters at compress
+    cfg.validate = true;
+    const PbPlan plan = pb_plan_build(a, m, cfg);
+    const SymbolicResult& sym = plan.sym;
+    ASSERT_EQ(sym.format, St::kFormat);
+    const auto len = static_cast<std::size_t>(sym.bin_offsets.back());
+
+    for (const bool use_scratch : {false, true}) {
+      for (const bool masked : {false, true}) {
+        for (const bool accumulate : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "scratch=" << use_scratch << " mask=" << masked
+                       << " accumulate=" << accumulate);
+          const MaskSpec ms = masked ? MaskSpec{&mask, false} : MaskSpec{};
+          PbEpilogue epi;
+          epi.accumulate = accumulate ? &c_old : nullptr;
+          PbWorkspace ref_ws;
+          const PbResult ref =
+              pb_execute<S>(a, m, plan, ref_ws, true, ms, nullptr, epi);
+
+          AlignedBuffer<std::byte> buf(St::bytes(len));
+          const St stream = St::carve(buf.data(), len);
+          PbWorkspace ws;
+          pb_expand<S>(a, m, sym, plan.cfg, stream);
+          const SortCompressResult sc = pb_sort_compress<S>(
+              stream, sym.bin_offsets, sym.bin_fill, sym.layout.nbins,
+              use_scratch ? &ws : nullptr, ms, &sym.layout, sym.col_bits);
+          const mtx::CsrMatrix c =
+              accumulate
+                  ? pb_accumulate_csr<S>(stream, sym.bin_offsets, sc.merged,
+                                         c_old, sym.layout, sym.col_bits,
+                                         a.nrows, m.ncols)
+                  : pb_build_csr(stream, sym.bin_offsets, sc.merged,
+                                 &sym.layout, sym.col_bits, a.nrows, m.ncols);
+          EXPECT_TRUE(mtx::equal_exact(c, ref.c));
+          if (use_scratch) EXPECT_GT(ws.stats().scratch_allocations, 0u);
+          if (masked || accumulate) continue;
+
+          // The plain product against the serial reference, too.
+          EXPECT_TRUE(mtx::equal_exact(
+              c, reference_spgemm_semiring<S>(SpGemmProblem::square(m))));
+          if constexpr (St::kFormat == TupleFormat::kNarrowF32) {
+            // The no-widening output path: the native f32 CSR is the
+            // widened result's pattern with its values narrowed.
+            const CsrF32 c32 = pb_build_csr_narrow_f32_native(
+                stream.keys, stream.vals, sym.bin_offsets, sc.merged,
+                sym.layout, sym.col_bits, a.nrows, m.ncols);
+            ASSERT_EQ(c32.rowptr, c.rowptr);
+            ASSERT_EQ(c32.colids, c.colids);
+            for (std::size_t i = 0; i < c32.vals.size(); ++i) {
+              ASSERT_EQ(c32.vals[i], static_cast<f32_val_t>(c.vals[i]))
+                  << "val " << i;
+            }
+          }
+        }
+      }
+    }
+  });
 }
+
+INSTANTIATE_TEST_SUITE_P(Formats, PbStreamPhases,
+                         ::testing::ValuesIn(testutil::all_stream_formats()),
+                         testutil::stream_format_name<
+                             ::testing::TestParamInfo<testutil::StreamFormat>>);
 
 }  // namespace
 }  // namespace pbs::pb

@@ -16,7 +16,8 @@ TEST(SortCompress, SingleBinKnownCase) {
                        {make_key(0, 1), 4.0}};
   const std::vector<nnz_t> offsets{0, 4};
   const std::vector<nnz_t> fill{4};
-  const SortCompressResult r = pb_sort_compress(t.data(), offsets, fill, 1);
+  const SortCompressResult r =
+      pb_sort_compress<PlusTimes>(t.data(), offsets, fill, 1);
   ASSERT_EQ(r.merged[0], 3);
   EXPECT_EQ(t[0].key, make_key(0, 1));
   EXPECT_EQ(t[0].val, 4.0);
@@ -30,7 +31,8 @@ TEST(SortCompress, EmptyBinsHandled) {
   std::vector<Tuple> t{{make_key(0, 0), 1.0}};
   const std::vector<nnz_t> offsets{0, 0, 1, 1};
   const std::vector<nnz_t> fill{0, 1, 0};
-  const SortCompressResult r = pb_sort_compress(t.data(), offsets, fill, 3);
+  const SortCompressResult r =
+      pb_sort_compress<PlusTimes>(t.data(), offsets, fill, 3);
   EXPECT_EQ(r.merged[0], 0);
   EXPECT_EQ(r.merged[1], 1);
   EXPECT_EQ(r.merged[2], 0);
@@ -40,7 +42,8 @@ TEST(SortCompress, AllDuplicatesCollapseToOne) {
   std::vector<Tuple> t(1000, Tuple{make_key(3, 7), 1.0});
   const std::vector<nnz_t> offsets{0, 1000};
   const std::vector<nnz_t> fill{1000};
-  const SortCompressResult r = pb_sort_compress(t.data(), offsets, fill, 1);
+  const SortCompressResult r =
+      pb_sort_compress<PlusTimes>(t.data(), offsets, fill, 1);
   ASSERT_EQ(r.merged[0], 1);
   EXPECT_EQ(t[0].val, 1000.0);
 }
@@ -50,7 +53,8 @@ TEST(SortCompress, NoDuplicatesKeepsAll) {
   for (index_t i = 99; i >= 0; --i) t.push_back({make_key(0, i), 1.0});
   const std::vector<nnz_t> offsets{0, 100};
   const std::vector<nnz_t> fill{100};
-  const SortCompressResult r = pb_sort_compress(t.data(), offsets, fill, 1);
+  const SortCompressResult r =
+      pb_sort_compress<PlusTimes>(t.data(), offsets, fill, 1);
   EXPECT_EQ(r.merged[0], 100);
   for (index_t i = 0; i < 100; ++i) EXPECT_EQ(key_col(t[i].key), i);
 }
@@ -75,7 +79,8 @@ TEST(SortCompress, RandomizedMatchesMapSemantics) {
   }
   const std::vector<nnz_t> fill(nbins, per_bin);
 
-  const SortCompressResult r = pb_sort_compress(t.data(), offsets, fill, nbins);
+  const SortCompressResult r =
+      pb_sort_compress<PlusTimes>(t.data(), offsets, fill, nbins);
   for (int bin = 0; bin < nbins; ++bin) {
     ASSERT_EQ(r.merged[static_cast<std::size_t>(bin)],
               static_cast<nnz_t>(expected[bin].size()));
@@ -94,7 +99,8 @@ TEST(SortCompress, TimersAreNonNegative) {
     t[i] = {make_key(0, static_cast<index_t>(i % 97)), 1.0};
   const std::vector<nnz_t> offsets{0, 1000};
   const std::vector<nnz_t> fill{1000};
-  const SortCompressResult r = pb_sort_compress(t.data(), offsets, fill, 1);
+  const SortCompressResult r =
+      pb_sort_compress<PlusTimes>(t.data(), offsets, fill, 1);
   EXPECT_GE(r.sort_seconds, 0.0);
   EXPECT_GE(r.compress_seconds, 0.0);
 }

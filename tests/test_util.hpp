@@ -9,11 +9,15 @@
 #pragma once
 
 #include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "matrix/convert.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/generate.hpp"
+#include "pb/pb_config.hpp"
 
 namespace pbs::testutil {
 
@@ -55,6 +59,29 @@ inline mtx::CsrMatrix from_triplets(
   for (const auto& [r, c, v] : entries) coo.add(r, c, v);
   coo.canonicalize();
   return mtx::coo_to_csr(coo);
+}
+
+/// One tuple-stream format, for suites parameterized over every policy of
+/// pb/tuple.hpp (the test body reaches the policy through pb::visit).
+struct StreamFormat {
+  pb::TupleFormat format;
+};
+
+inline void PrintTo(const StreamFormat& s, std::ostream* os) {
+  *os << pb::to_string(s.format);
+}
+
+inline std::vector<StreamFormat> all_stream_formats() {
+  return {{pb::TupleFormat::kWide},
+          {pb::TupleFormat::kNarrow},
+          {pb::TupleFormat::kKeyOnly},
+          {pb::TupleFormat::kNarrowF32}};
+}
+
+/// Test-name generator: the format's name.
+template <typename ParamInfo>
+std::string stream_format_name(const ParamInfo& info) {
+  return pb::to_string(info.param.format);
 }
 
 }  // namespace pbs::testutil

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "common/aligned_buffer.hpp"
 #include "pb/pb_spgemm.hpp"
 #include "spgemm/spgemm.hpp"
@@ -22,76 +28,6 @@ TEST(Workspace, GrowsGeometricallyAndReuses) {
   // Larger request: grows at least geometrically.
   ws.acquire(cap1 / sizeof(Tuple) + 1);
   EXPECT_GE(ws.capacity(), cap1 + cap1 / 2);
-}
-
-TEST(Workspace, NarrowStreamSharesThePoolWithWide) {
-  PbWorkspace ws;
-  // A wide run sizes the pool; a narrow request for the same tuple count
-  // needs 12 B + key padding per tuple, so it is served without growth.
-  (void)ws.acquire(1024);
-  const std::size_t cap = ws.capacity();
-  const NarrowStream ns = ws.acquire_narrow(1024);
-  ASSERT_NE(ns.keys, nullptr);
-  ASSERT_NE(ns.vals, nullptr);
-  EXPECT_EQ(ws.capacity(), cap);
-  // Value array starts on its own cache line after the key span.
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ns.vals) % kCacheLineBytes, 0u);
-  EXPECT_GE(reinterpret_cast<std::byte*>(ns.vals) -
-                reinterpret_cast<std::byte*>(ns.keys),
-            static_cast<std::ptrdiff_t>(1024 * sizeof(narrow_key_t)));
-  const PbWorkspace::Stats s = ws.stats();
-  EXPECT_EQ(s.acquires, 2u);
-  EXPECT_EQ(s.allocations, 1u);
-  EXPECT_EQ(s.reuses, 1u);
-}
-
-TEST(Workspace, KeyOnlyStreamSharesThePoolWithoutValueBytes) {
-  // The satellite fix for mixed-format reuse: a key-only acquire following
-  // a wide lease must ask for n*8 bytes only — no value bytes charged to a
-  // format that has no value array — so it reuses the wide pool and never
-  // grows it.
-  PbWorkspace ws;
-  (void)ws.acquire(1024);  // 1024 * 16 B
-  const std::size_t cap = ws.capacity();
-  wide_key_t* keys = ws.acquire_keys(2048);  // 2048 * 8 B = the same bytes
-  ASSERT_NE(keys, nullptr);
-  EXPECT_EQ(ws.capacity(), cap);
-  PbWorkspace::Stats s = ws.stats();
-  EXPECT_EQ(s.acquires, 2u);
-  EXPECT_EQ(s.allocations, 1u);
-  EXPECT_EQ(s.reuses, 1u);
-
-  // And the other direction: growing key-only first, then wide for the
-  // same tuple count doubles the byte need and must allocate.
-  PbWorkspace ws2;
-  (void)ws2.acquire_keys(1024);
-  const std::size_t key_cap = ws2.capacity();
-  EXPECT_GE(key_cap, 1024u * sizeof(wide_key_t));
-  EXPECT_LT(key_cap, 1024u * sizeof(Tuple));  // no hidden value reserve
-  (void)ws2.acquire(1024);
-  s = ws2.stats();
-  EXPECT_EQ(s.allocations, 2u);
-}
-
-TEST(Workspace, NarrowF32StreamSharesThePoolWithNarrow) {
-  // f32 tuples are 8 B (4 B key + 4 B value): a narrow lease (12 B) for
-  // the same count always covers an f32 lease, and the value lane starts
-  // line-aligned after the key span.
-  PbWorkspace ws;
-  (void)ws.acquire_narrow(1024);
-  const std::size_t cap = ws.capacity();
-  const NarrowF32Stream nf = ws.acquire_narrow_f32(1024);
-  ASSERT_NE(nf.keys, nullptr);
-  ASSERT_NE(nf.vals, nullptr);
-  EXPECT_EQ(ws.capacity(), cap);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(nf.vals) % kCacheLineBytes, 0u);
-  EXPECT_GE(reinterpret_cast<std::byte*>(nf.vals) -
-                reinterpret_cast<std::byte*>(nf.keys),
-            static_cast<std::ptrdiff_t>(1024 * sizeof(narrow_key_t)));
-  const PbWorkspace::Stats s = ws.stats();
-  EXPECT_EQ(s.acquires, 2u);
-  EXPECT_EQ(s.allocations, 1u);
-  EXPECT_EQ(s.reuses, 1u);
 }
 
 TEST(Workspace, MixedFormatMultipliesReuseOnePool) {
@@ -123,20 +59,6 @@ TEST(Workspace, MixedFormatMultipliesReuseOnePool) {
   EXPECT_TRUE(equal_exact(wide.c, f32.c));
 }
 
-TEST(Workspace, KeyOnlyScratchSlotsPoolPerThread) {
-  PbWorkspace ws;
-  ws.prepare_scratch(2);
-  wide_key_t* s0 = ws.acquire_scratch_keys(0, 64);
-  ASSERT_NE(s0, nullptr);
-  EXPECT_EQ(ws.acquire_scratch_keys(0, 32), s0);  // shrink reuses
-  const NarrowF32Stream s1 = ws.acquire_scratch_narrow_f32(1, 64);
-  ASSERT_NE(s1.keys, nullptr);
-  ASSERT_NE(s1.vals, nullptr);
-  const PbWorkspace::Stats s = ws.stats();
-  EXPECT_EQ(s.scratch_allocations, 2u);
-  EXPECT_EQ(s.scratch_reuses, 1u);
-}
-
 TEST(Workspace, StatsCountGrowShrinkGrowSequences) {
   PbWorkspace ws;
   ws.acquire(1000);  // grow
@@ -160,18 +82,119 @@ TEST(Workspace, StatsCountGrowShrinkGrowSequences) {
   EXPECT_EQ(ws.capacity(), 5000u * sizeof(Tuple));  // the pool is retained
 }
 
-TEST(Workspace, ScratchSlotsPoolPerThread) {
-  PbWorkspace ws;
-  ws.prepare_scratch(2);
-  Tuple* s0 = ws.acquire_scratch(0, 64);
-  ASSERT_NE(s0, nullptr);
-  EXPECT_EQ(ws.acquire_scratch(0, 32), s0);  // shrink reuses
-  Tuple* s1 = ws.acquire_scratch(1, 16);
-  EXPECT_NE(s0, s1);  // slots are independent
-  const PbWorkspace::Stats s = ws.stats();
-  EXPECT_EQ(s.scratch_allocations, 2u);
-  EXPECT_EQ(s.scratch_reuses, 1u);
+/// Byte ranges of a stream's lanes for tuples [0, n): the AoS tuples, or
+/// the key array then the value array.
+template <typename St>
+std::vector<std::pair<std::byte*, std::byte*>> lanes(const St& s,
+                                                     std::size_t n) {
+  std::vector<std::pair<std::byte*, std::byte*>> out;
+  s.for_each_lane(0, n, [&](std::byte* lo, std::byte* hi) {
+    out.emplace_back(lo, hi);
+  });
+  return out;
 }
+
+/// Bytes each format must reserve for n tuples: keys padded to a cache
+/// line, then the values; key-only nothing past its 8 B keys.
+std::size_t expected_bytes(TupleFormat f, std::size_t n) {
+  const std::size_t key_lines =
+      (n * 4 + kCacheLineBytes - 1) / kCacheLineBytes * kCacheLineBytes;
+  if (f == TupleFormat::kWide) return n * 16;
+  if (f == TupleFormat::kNarrow) return key_lines + n * 8;
+  if (f == TupleFormat::kKeyOnly) return n * 8;
+  return key_lines + n * 4;  // kNarrowF32
+}
+
+// Every stream policy leases from the same byte pool: each reserves
+// exactly its format's bytes — key-only no value bytes at all — reuses a
+// pool any format at least as wide sized, and gets one scratch slot per
+// thread.
+class WorkspaceStream
+    : public ::testing::TestWithParam<testutil::StreamFormat> {};
+
+TEST_P(WorkspaceStream, ReservesExactlyItsFormatsBytes) {
+  visit(GetParam().format, [&]<typename St>(St) {
+    for (const std::size_t n : {1001u, 1024u}) {
+      PbWorkspace ws;
+      const St s = ws.acquire<St>(n);
+      EXPECT_EQ(ws.capacity(), expected_bytes(St::kFormat, n)) << n;
+      const auto ls = lanes(s, n);
+      const bool soa_values =
+          !std::is_same_v<St, WideStream> && St::kHasValues;
+      ASSERT_EQ(ls.size(), soa_values ? 2u : 1u);
+      // Lanes start line-aligned, the value lane after the key span.
+      std::size_t lane_bytes = 0;
+      for (const auto& [lo, hi] : ls) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lo) % kCacheLineBytes, 0u);
+        lane_bytes += static_cast<std::size_t>(hi - lo);
+      }
+      EXPECT_EQ(lane_bytes, n * St::kBytes);
+      if (soa_values) EXPECT_GE(ls[1].first, ls[0].second);
+    }
+    if constexpr (!St::kHasValues) {
+      // No hidden value reserve: n keys cost half a wide lease.
+      PbWorkspace ws;
+      (void)ws.acquire<St>(1024);
+      EXPECT_LT(ws.capacity(), 1024u * sizeof(Tuple));
+    }
+  });
+}
+
+TEST_P(WorkspaceStream, ReusesAPoolAnyWiderFormatSized) {
+  visit(GetParam().format, [&]<typename St>(St) {
+    for (const testutil::StreamFormat first : testutil::all_stream_formats()) {
+      visit(first.format, [&]<typename First>(First) {
+        SCOPED_TRACE(to_string(first.format));
+        PbWorkspace ws;
+        const First f = ws.acquire<First>(1024);
+        const std::size_t cap = ws.capacity();
+        const St s = ws.acquire<St>(1024);
+        const PbWorkspace::Stats st = ws.stats();
+        EXPECT_EQ(st.acquires, 2u);
+        if (First::kBytes >= St::kBytes) {
+          // Served from the same bytes without growth.
+          EXPECT_EQ(ws.capacity(), cap);
+          EXPECT_EQ(lanes(s, 1024).front().first,
+                    lanes(f, 1024).front().first);
+          EXPECT_EQ(st.allocations, 1u);
+          EXPECT_EQ(st.reuses, 1u);
+        } else {
+          EXPECT_EQ(st.allocations, 2u);  // a narrower pool must grow
+        }
+      });
+    }
+  });
+  // The same bytes in more, narrower tuples also fit: 2048 key-only keys
+  // are exactly a 1024-tuple wide lease.
+  PbWorkspace ws;
+  (void)ws.acquire(1024);
+  const std::size_t cap = ws.capacity();
+  (void)ws.acquire<KeyOnlyStream>(2048);
+  EXPECT_EQ(ws.capacity(), cap);
+  EXPECT_EQ(ws.stats().allocations, 1u);
+}
+
+TEST_P(WorkspaceStream, ScratchSlotsPoolPerThread) {
+  visit(GetParam().format, [&]<typename St>(St) {
+    PbWorkspace ws;
+    ws.prepare_scratch(2);
+    const St s0 = ws.acquire_scratch<St>(0, 64);
+    const std::byte* base0 = lanes(s0, 64).front().first;
+    ASSERT_NE(base0, nullptr);
+    // A smaller request reuses the slot.
+    EXPECT_EQ(lanes(ws.acquire_scratch<St>(0, 32), 32).front().first, base0);
+    // Slots are independent.
+    EXPECT_NE(lanes(ws.acquire_scratch<St>(1, 16), 16).front().first, base0);
+    const PbWorkspace::Stats s = ws.stats();
+    EXPECT_EQ(s.scratch_allocations, 2u);
+    EXPECT_EQ(s.scratch_reuses, 1u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, WorkspaceStream,
+                         ::testing::ValuesIn(testutil::all_stream_formats()),
+                         testutil::stream_format_name<
+                             ::testing::TestParamInfo<testutil::StreamFormat>>);
 
 TEST(Workspace, SharedAcrossDifferentProblems) {
   PbWorkspace ws;
