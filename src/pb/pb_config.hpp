@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 
 #include "common/post_op.hpp"
 #include "common/types.hpp"
@@ -126,15 +128,26 @@ struct PbConfig {
   const CancelToken* cancel = nullptr;
 };
 
-/// Output-mask request threaded through the pipeline (an SpGemmOp mask
-/// lowered to PB terms): tuples whose (row, col) lies outside (or, with
-/// complement, inside) the pattern of `csr` are dropped at the compress
-/// stage, before CSR conversion.  Values of `csr` are ignored.
+/// Output-mask request (an SpGemmOp mask lowered to kernel terms): entries
+/// whose (row, col) lies outside (or, with complement, inside) the pattern
+/// of `csr` are never produced — PB drops them at expand or compress, the
+/// row-wise kernels (spgemm/masked.hpp) in their row loops.  Values of
+/// `csr` are ignored.  The default is unmasked.
 struct MaskSpec {
   const mtx::CsrMatrix* csr = nullptr;  ///< nullptr = unmasked
   bool complement = false;
 
   [[nodiscard]] bool active() const { return csr != nullptr; }
+
+  /// The one mask-shape check of every masked entry point: throws
+  /// std::invalid_argument naming `who` unless an active mask is
+  /// (nrows x ncols), the product's shape.
+  void check_shape(index_t nrows, index_t ncols, const char* who) const {
+    if (active() && (csr->nrows != nrows || csr->ncols != ncols)) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": mask shape does not match the product");
+    }
+  }
 };
 
 /// Per-run output epilogue fused into pb_execute (descriptor semantics the

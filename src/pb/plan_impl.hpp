@@ -53,11 +53,7 @@ PbResult pb_execute(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
         "pb_execute: operands do not match the plan's structure fingerprint "
         "(dims/nnz/flop changed); rebuild the plan with pb_plan_build");
   }
-  if (mask.active() &&
-      (mask.csr->nrows != a.nrows || mask.csr->ncols != b.ncols)) {
-    throw std::invalid_argument(
-        "pb_execute: mask shape does not match the product");
-  }
+  mask.check_shape(a.nrows, b.ncols, "pb_execute");
   detail::validate_epilogue(epi, plan.sym.format, a.nrows, b.ncols);
   throw_if_stopped(cancel);
 

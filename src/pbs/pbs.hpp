@@ -7,6 +7,9 @@
 //   auto c   = pbs::pb::pb_spgemm(p.a_csc, p.b_csr);     // with telemetry
 //   auto c2  = pbs::algorithm("hash").fn(p);             // any baseline
 //
+//   // Masked: pb and the spa/heap/hash kernels fuse an output mask
+//   auto m   = pbs::hash_spgemm_semiring<pbs::MinPlus>(p, {&a, false});
+//
 //   // Repeated traffic: analyze + select once, execute many
 //   auto plan = pbs::make_plan(p);          // algo = "auto" (roofline-guided)
 //   for (...) auto c3 = plan.execute(p);    // no re-analysis, no re-allocation

@@ -49,13 +49,8 @@ std::string op_cache_key(const SpGemmOp& op) {
   return key.str();
 }
 
-void check_mask_shape(const SpGemmOp& op, const SpGemmProblem& p) {
-  if (op.mask != nullptr && (op.mask->nrows != p.a_csr.nrows ||
-                             op.mask->ncols != p.b_csr.ncols)) {
-    throw std::invalid_argument(
-        "SpGemmExecutor: mask shape does not match the product");
-  }
-}
+/// The op's mask in kernel terms (inactive when op.mask is null).
+pb::MaskSpec mask_of(const SpGemmOp& op) { return {op.mask, op.complement}; }
 
 /// Descriptor-level legality of op.post_op, enforced at every entry point
 /// (plan time, never execute time).  `accumulating` covers both the
@@ -89,6 +84,39 @@ bool is_passthrough(const SpGemmOp& op) {
 std::mutex& dyn_semiring_mutex() {
   static std::mutex mu;
   return mu;
+}
+
+/// Holds dyn_semiring_mutex for a runtime-registered semiring; built-ins
+/// (and every kernel compiled against them) run fully concurrent.
+std::unique_lock<std::mutex> lock_dyn_semiring(const std::string& semiring) {
+  if (is_semiring_name(semiring)) return {};
+  return std::unique_lock<std::mutex>(dyn_semiring_mutex());
+}
+
+/// The unfused row-wise tail every non-pb run shares (a passthrough op, a
+/// cached row-wise entry, pb's oom fallback): the kernel and the post-pass
+/// epilogue under the dyn-semiring lock — semiring_ewise_add over a
+/// runtime semiring rides the same process-global bridge — so the result
+/// is the same matrix the fused pb kernels build directly.  Row-wise
+/// kernels have no internal poll points: the token is polled before the
+/// kernel, before the epilogue and once more after it.
+mtx::CsrMatrix run_unfused(const SpGemmFn& fn, const SpGemmOp& op,
+                           const SpGemmProblem& p, const CancelToken* cancel,
+                           const mtx::CsrMatrix* accumulate) {
+  throw_if_stopped(cancel);
+  mtx::CsrMatrix c;
+  {
+    const std::unique_lock<std::mutex> dyn_lock =
+        lock_dyn_semiring(op.semiring);
+    c = fn(p);
+    throw_if_stopped(cancel);
+    if (op.post_op.active()) apply_post_op(c, op.post_op);
+    if (accumulate != nullptr) {
+      c = semiring_ewise_add(op.semiring, *accumulate, c);
+    }
+  }
+  throw_if_stopped(cancel);
+  return c;
 }
 
 /// The low-memory row-wise kernel a degraded op executes with: hash when
@@ -349,7 +377,8 @@ struct SpGemmExecutor::Impl {
                    std::span<const nnz_t> shared_row_flops,
                    nnz_t shared_nnz_est) {
     Timer timer;
-    check_mask_shape(op, p);
+    mask_of(op).check_shape(p.result_rows(), p.result_cols(),
+                            "SpGemmExecutor");
 
     // Planning must see the op's value-freeness (it legalizes the 8 B
     // key-only stream): derive it from the semiring registration when the
@@ -499,67 +528,43 @@ struct SpGemmExecutor::Impl {
     mtx::CsrMatrix c;
     pb::PbTelemetry pb_stats;
     bool oom_fallback = false;
-    {
-      // Runtime-registered semirings indirect through the process-global
-      // DynSemiring bridge; serialize those executions.  Built-ins (and
-      // every kernel compiled against them) run fully concurrent.
-      std::unique_lock<std::mutex> dyn_lock;
-      if (!is_semiring_name(entry->op.semiring)) {
-        dyn_lock = std::unique_lock<std::mutex>(dyn_semiring_mutex());
-      }
-      if (entry->use_pb) {
-        try {
-          const pb::WorkspacePool::Lease lease = pool.acquire();
-          const pb::MaskSpec mask{entry->op.mask, entry->op.complement};
-          // The epilogue rides INTO the kernels: an accumulation target
-          // merges during CSR conversion (pb/output.hpp) and the
-          // post-op applies in the per-bin filter stage — neither the
-          // plain product nor the unpruned C is ever materialized.
-          const pb::PbEpilogue epi{accumulate, entry->op.post_op};
-          pb::PbResult r = pb::pb_execute_named(
-              entry->op.semiring, p.a_csc, p.b_csr, entry->pb_plan,
-              lease.workspace(), /*check_fingerprint=*/false, mask, cancel,
-              epi);
-          pb_stats = r.stats;
-          c = std::move(r.c);
-        } catch (const std::bad_alloc&) {
-          // Budget rejection, injected allocation fault, or the real
-          // thing.  The lease already returned (RAII above); degrade THIS
-          // run to the row-wise fallback and keep the cached pb plan — a
-          // later, perhaps less contended, run retries pb and stays
-          // bit-identical to a fresh executor's.
-          throw_if_stopped(cancel);
-          {
-            const std::lock_guard<std::mutex> lock(mu);
-            ++stats.oom_fallbacks;
-            ++stats.degraded_runs;
-          }
-          const SpGemmFn fn = masked_semiring_algorithm(
-              fallback_algo(entry->op.semiring), entry->op.semiring,
-              entry->op.mask, entry->op.complement);
-          c = fn(p);
-          oom_fallback = true;
-        }
-      } else {
+    if (entry->use_pb) {
+      try {
+        const std::unique_lock<std::mutex> dyn_lock =
+            lock_dyn_semiring(entry->op.semiring);
+        const pb::WorkspacePool::Lease lease = pool.acquire();
+        // The epilogue rides INTO the kernels: an accumulation target
+        // merges during CSR conversion (pb/output.hpp) and the post-op
+        // applies in the per-bin filter stage — neither the plain product
+        // nor the unpruned C is ever materialized.
+        const pb::PbEpilogue epi{accumulate, entry->op.post_op};
+        pb::PbResult r = pb::pb_execute_named(
+            entry->op.semiring, p.a_csc, p.b_csr, entry->pb_plan,
+            lease.workspace(), /*check_fingerprint=*/false,
+            mask_of(entry->op), cancel, epi);
+        pb_stats = r.stats;
+        c = std::move(r.c);
+      } catch (const std::bad_alloc&) {
+        // Budget rejection, injected allocation fault, or the real thing.
+        // The lease already returned (RAII above); degrade THIS run to the
+        // row-wise fallback and keep the cached pb plan — a later, perhaps
+        // less contended, run retries pb and stays bit-identical to a
+        // fresh executor's.
         throw_if_stopped(cancel);
-        c = entry->fn(p);
-      }
-      // Unfused epilogue: row-wise kernels and the oom fallback produced
-      // the plain product — shape/merge it here so every path returns the
-      // same matrix the fused pb kernels build directly.  Inside the dyn
-      // scope: semiring_ewise_add over a runtime semiring rides the same
-      // process-global bridge.
-      if (!entry->use_pb || oom_fallback) {
-        throw_if_stopped(cancel);
-        if (entry->op.post_op.active()) apply_post_op(c, entry->op.post_op);
-        if (accumulate != nullptr) {
-          c = semiring_ewise_add(entry->op.semiring, *accumulate, c);
-        }
+        const std::lock_guard<std::mutex> lock(mu);
+        ++stats.oom_fallbacks;
+        ++stats.degraded_runs;
+        oom_fallback = true;
       }
     }
-    // Row-wise kernels have no internal poll points: honor a deadline
-    // that expired while one ran (pb enforces its own inside the phases).
-    if (!entry->use_pb || oom_fallback) throw_if_stopped(cancel);
+    if (!entry->use_pb) {
+      c = run_unfused(entry->fn, entry->op, p, cancel, accumulate);
+    } else if (oom_fallback) {
+      c = run_unfused(masked_semiring_algorithm(
+                          fallback_algo(entry->op.semiring), entry->op.semiring,
+                          entry->op.mask, entry->op.complement),
+                      entry->op, p, cancel, accumulate);
+    }
     const double seconds = timer.elapsed_s();
     const double achieved =
         seconds > 0
@@ -628,24 +633,12 @@ struct SpGemmExecutor::Impl {
                                  RunInfo* info,
                                  const CancelToken* cancel = nullptr,
                                  const mtx::CsrMatrix* accumulate = nullptr) {
-    check_mask_shape(op, p);
-    const SpGemmFn fn = passthrough_fn(op, op_cache_key(op));
-    throw_if_stopped(cancel);
-    mtx::CsrMatrix c;
-    {
-      std::unique_lock<std::mutex> dyn_lock;
-      if (!is_semiring_name(op.semiring)) {
-        dyn_lock = std::unique_lock<std::mutex>(dyn_semiring_mutex());
-      }
-      c = fn(p);
-      // Fixed baseline kernels never fuse: post-pass epilogue, same
-      // result as the fused paths.
-      if (op.post_op.active()) apply_post_op(c, op.post_op);
-      if (accumulate != nullptr) {
-        c = semiring_ewise_add(op.semiring, *accumulate, c);
-      }
-    }
-    throw_if_stopped(cancel);
+    mask_of(op).check_shape(p.result_rows(), p.result_cols(),
+                            "SpGemmExecutor");
+    // Fixed baseline kernels never fuse the epilogue: post-pass, same
+    // result as the fused paths.
+    mtx::CsrMatrix c = run_unfused(passthrough_fn(op, op_cache_key(op)), op,
+                                   p, cancel, accumulate);
     {
       const std::lock_guard<std::mutex> lock(mu);
       ++stats.executes;
@@ -942,7 +935,8 @@ void SpGemmExecutor::prepare(const SpGemmProblem& p, const SpGemmOp& op,
   check_post_op(op, op.accumulate);
   if (im.opts.validate_inputs) im.validate_problem(p, op);
   if (is_passthrough(op)) {
-    check_mask_shape(op, p);
+    mask_of(op).check_shape(p.result_rows(), p.result_cols(),
+                            "SpGemmExecutor");
     Timer timer;
     (void)im.passthrough_fn(op, op_cache_key(op));  // throws on bad pairs
     // Fixed baseline plans still report the problem's flop (the analysis

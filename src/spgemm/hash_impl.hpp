@@ -8,10 +8,10 @@
 // products, S::add keyed-insert combine), extract, sort by column
 // (canonical CSR), write in place.
 //
-// With a mask, both phases skip columns outside (or, complemented, inside)
-// the mask row's pattern — the row's stamp array marks the allowed
-// columns, so a probe costs O(1) and rows whose plain mask row is empty
-// are skipped outright.
+// With an active mask (pb::MaskSpec), both phases skip columns outside
+// (or, complemented, inside) the mask row's pattern through the shared
+// MaskStamp (spgemm/masked.hpp): a probe costs O(1) and rows whose plain
+// mask row is empty are skipped outright.
 #pragma once
 
 #include <omp.h>
@@ -27,10 +27,11 @@
 
 namespace pbs::detail {
 
-template <typename S, typename Accumulator>
+/// kMasked = mask.active() (detail::dispatch_mask): the unmasked
+/// instantiation carries no mask test.
+template <typename S, typename Accumulator, bool kMasked = false>
 mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
-                                const mtx::CsrMatrix* mask = nullptr,
-                                bool complement = false) {
+                                const pb::MaskSpec& mask = {}) {
   const mtx::CsrMatrix& a = p.a_csr;
   const mtx::CsrMatrix& b = p.b_csr;
 
@@ -46,7 +47,9 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
     for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i)
       f += b.row_nnz(a.colids[i]);
     f = std::min<nnz_t>(f, b.ncols);
-    if (mask != nullptr && !complement) f = std::min<nnz_t>(f, mask->row_nnz(r));
+    if (kMasked && !mask.complement) {
+      f = std::min<nnz_t>(f, mask.csr->row_nnz(r));
+    }
     row_upper[r] = f;
   }
 
@@ -54,20 +57,19 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
 #pragma omp parallel
   {
     Accumulator acc;
-    MaskStamp stamp;
+    MaskStamp stamp(mask);
 #pragma omp for schedule(dynamic, 256)
     for (index_t r = 0; r < a.nrows; ++r) {
-      if (row_upper[r] == 0) {
+      if (row_upper[r] == 0 || (kMasked && !stamp.begin_row(r))) {
         out.rowptr[static_cast<std::size_t>(r) + 1] = 0;
         continue;
       }
-      if (mask != nullptr) stamp.stamp_row(*mask, r);
       acc.reset(row_upper[r]);
       for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
         const index_t k = a.colids[i];
         for (nnz_t j = b.rowptr[k]; j < b.rowptr[static_cast<std::size_t>(k) + 1]; ++j) {
           const index_t c = b.colids[j];
-          if (mask != nullptr && stamp.skip(r, c, complement)) continue;
+          if (kMasked && stamp.skip(c)) continue;
           acc.insert(c);
         }
       }
@@ -87,21 +89,20 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
 #pragma omp parallel
   {
     Accumulator acc;
-    MaskStamp stamp;
+    MaskStamp stamp(mask);
     std::vector<std::pair<index_t, value_t>> entries;
 #pragma omp for schedule(dynamic, 256)
     for (index_t r = 0; r < a.nrows; ++r) {
       const nnz_t lo = out.rowptr[r];
       const nnz_t hi = out.rowptr[static_cast<std::size_t>(r) + 1];
-      if (lo == hi) continue;
-      if (mask != nullptr) stamp.stamp_row(*mask, r);
+      if (lo == hi || (kMasked && !stamp.begin_row(r))) continue;
       acc.reset(row_upper[r]);
       for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
         const index_t k = a.colids[i];
         const value_t av = a.vals[i];
         for (nnz_t j = b.rowptr[k]; j < b.rowptr[static_cast<std::size_t>(k) + 1]; ++j) {
           const index_t c = b.colids[j];
-          if (mask != nullptr && stamp.skip(r, c, complement)) continue;
+          if (kMasked && stamp.skip(c)) continue;
           acc.template accumulate<S>(c, S::mul(av, b.vals[j]));
         }
       }

@@ -9,7 +9,8 @@
 // The kernel is semiring-templated (heap_spgemm_semiring<S>): merging is
 // pure structure, so generalizing costs exactly the two scalar ops — the
 // run's scale multiply becomes S::mul and the duplicate accumulation
-// S::add.  heap_spgemm is the numeric (+, ×) instantiation.
+// S::add.  heap_spgemm is the numeric (+, ×) instantiation.  A fused
+// output mask (pb::MaskSpec) drops columns as they surface from the merge.
 #include <omp.h>
 
 #include <vector>
@@ -92,149 +93,90 @@ class RunHeap {
 }  // namespace
 
 template <typename S>
-mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p) {
+mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p,
+                                    const pb::MaskSpec& mask) {
   const mtx::CsrMatrix& a = p.a_csr;
   const mtx::CsrMatrix& b = p.b_csr;
+  mask.check_shape(a.nrows, b.ncols, "heap_spgemm_semiring");
 
   // Thread-private scratch reused across that thread's rows.
   struct Scratch {
+    explicit Scratch(const pb::MaskSpec& m) : mask(m) {}
     std::vector<Run> runs;
     RunHeap heap;
+    detail::MaskStamp mask;
   };
   // assemble_rowwise parallelizes over row blocks; scratch lives in
   // thread-local storage keyed by omp thread id.
-  std::vector<Scratch> scratch(static_cast<std::size_t>(max_threads()));
+  std::vector<Scratch> scratch(static_cast<std::size_t>(max_threads()),
+                               Scratch(mask));
 
-  return detail::assemble_rowwise(
-      a.nrows, b.ncols, [&](index_t r, detail::BlockBuffer& buf) {
-        Scratch& s = scratch[static_cast<std::size_t>(omp_get_thread_num())];
-        s.runs.clear();
-        s.heap.reset();
+  return detail::dispatch_mask(mask, [&]<bool kMasked>() {
+    return detail::assemble_rowwise(
+        a.nrows, b.ncols, [&](index_t r, detail::BlockBuffer& buf) {
+          Scratch& s = scratch[static_cast<std::size_t>(omp_get_thread_num())];
+          if (kMasked && !s.mask.begin_row(r)) return;
+          s.runs.clear();
+          s.heap.reset();
 
-        for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
-          const index_t k = a.colids[i];
-          const nnz_t lo = b.rowptr[k];
-          const nnz_t hi = b.rowptr[static_cast<std::size_t>(k) + 1];
-          if (lo == hi) continue;
-          s.heap.push(static_cast<int>(s.runs.size()), b.colids[lo]);
-          s.runs.push_back(Run{lo, hi, a.vals[i]});
-        }
+          for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
+            const index_t k = a.colids[i];
+            const nnz_t lo = b.rowptr[k];
+            const nnz_t hi = b.rowptr[static_cast<std::size_t>(k) + 1];
+            if (lo == hi) continue;
+            s.heap.push(static_cast<int>(s.runs.size()), b.colids[lo]);
+            s.runs.push_back(Run{lo, hi, a.vals[i]});
+          }
 
-        while (!s.heap.empty()) {
-          const index_t col = s.heap.top_col();
-          // Drain every run currently sitting on `col`, combining the
-          // first contribution directly so S::zero() never enters the
-          // accumulation (it is an identity, but this keeps the numeric
-          // instantiation bit-identical to the pre-semiring kernel).
-          bool first = true;
-          value_t acc = S::zero();
-          while (!s.heap.empty() && s.heap.top_col() == col) {
-            const int ri = s.heap.top_run();
-            Run& run = s.runs[static_cast<std::size_t>(ri)];
-            const value_t product = S::mul(run.scale, b.vals[run.cur]);
-            acc = first ? product : S::add(acc, product);
-            first = false;
-            ++run.cur;
-            if (run.cur < run.end) {
-              s.heap.replace_top(b.colids[run.cur]);
-            } else {
-              s.heap.pop();
+          while (!s.heap.empty()) {
+            const index_t col = s.heap.top_col();
+            // Drain every run currently sitting on `col`, combining the
+            // first contribution directly so S::zero() never enters the
+            // accumulation (it is an identity, but this keeps the numeric
+            // instantiation bit-identical to the pre-semiring kernel).  A
+            // masked-out column still advances its runs (structure drives
+            // the heap) but is neither accumulated nor emitted.
+            const bool keep = !(kMasked && s.mask.skip(col));
+            bool first = true;
+            value_t acc = S::zero();
+            while (!s.heap.empty() && s.heap.top_col() == col) {
+              const int ri = s.heap.top_run();
+              Run& run = s.runs[static_cast<std::size_t>(ri)];
+              if (keep) {
+                const value_t product = S::mul(run.scale, b.vals[run.cur]);
+                acc = first ? product : S::add(acc, product);
+                first = false;
+              }
+              ++run.cur;
+              if (run.cur < run.end) {
+                s.heap.replace_top(b.colids[run.cur]);
+              } else {
+                s.heap.pop();
+              }
+            }
+            if (keep) {
+              buf.cols.push_back(col);
+              buf.vals.push_back(acc);
             }
           }
-          buf.cols.push_back(col);
-          buf.vals.push_back(acc);
-        }
-      });
+        });
+  });
 }
 
-template mtx::CsrMatrix heap_spgemm_semiring<PlusTimes>(const SpGemmProblem&);
-template mtx::CsrMatrix heap_spgemm_semiring<MinPlus>(const SpGemmProblem&);
-template mtx::CsrMatrix heap_spgemm_semiring<MaxMin>(const SpGemmProblem&);
-template mtx::CsrMatrix heap_spgemm_semiring<BoolOrAnd>(const SpGemmProblem&);
+template mtx::CsrMatrix heap_spgemm_semiring<PlusTimes>(const SpGemmProblem&,
+                                                        const pb::MaskSpec&);
+template mtx::CsrMatrix heap_spgemm_semiring<MinPlus>(const SpGemmProblem&,
+                                                      const pb::MaskSpec&);
+template mtx::CsrMatrix heap_spgemm_semiring<MaxMin>(const SpGemmProblem&,
+                                                     const pb::MaskSpec&);
+template mtx::CsrMatrix heap_spgemm_semiring<BoolOrAnd>(const SpGemmProblem&,
+                                                        const pb::MaskSpec&);
 // The runtime-semiring bridge (spgemm/op.hpp).
-template mtx::CsrMatrix heap_spgemm_semiring<DynSemiring>(const SpGemmProblem&);
+template mtx::CsrMatrix heap_spgemm_semiring<DynSemiring>(const SpGemmProblem&,
+                                                          const pb::MaskSpec&);
 
 mtx::CsrMatrix heap_spgemm(const SpGemmProblem& p) {
   return heap_spgemm_semiring<PlusTimes>(p);
 }
-
-template <typename S>
-mtx::CsrMatrix heap_masked_semiring(const SpGemmProblem& p,
-                                    const mtx::CsrMatrix& mask,
-                                    bool complement) {
-  detail::check_mask_shape("heap_masked_semiring", p, mask);
-  const mtx::CsrMatrix& a = p.a_csr;
-  const mtx::CsrMatrix& b = p.b_csr;
-
-  // The merge must still walk every run (structure drives the heap), but
-  // masked-out columns are dropped as they surface, skipping their
-  // accumulation and emission.  The shared MaskStamp makes the per-column
-  // test O(1).
-  struct Scratch {
-    std::vector<Run> runs;
-    RunHeap heap;
-    detail::MaskStamp stamp;
-  };
-  std::vector<Scratch> scratch(static_cast<std::size_t>(max_threads()));
-
-  return detail::assemble_rowwise(
-      a.nrows, b.ncols, [&](index_t r, detail::BlockBuffer& buf) {
-        Scratch& s = scratch[static_cast<std::size_t>(omp_get_thread_num())];
-        if (!complement && mask.row_nnz(r) == 0) return;
-        s.stamp.stamp_row(mask, r);
-        s.runs.clear();
-        s.heap.reset();
-
-        for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
-          const index_t k = a.colids[i];
-          const nnz_t lo = b.rowptr[k];
-          const nnz_t hi = b.rowptr[static_cast<std::size_t>(k) + 1];
-          if (lo == hi) continue;
-          s.heap.push(static_cast<int>(s.runs.size()), b.colids[lo]);
-          s.runs.push_back(Run{lo, hi, a.vals[i]});
-        }
-
-        while (!s.heap.empty()) {
-          const index_t col = s.heap.top_col();
-          const bool keep = !s.stamp.skip(r, col, complement);
-          bool first = true;
-          value_t acc = S::zero();
-          while (!s.heap.empty() && s.heap.top_col() == col) {
-            const int ri = s.heap.top_run();
-            Run& run = s.runs[static_cast<std::size_t>(ri)];
-            if (keep) {
-              const value_t product = S::mul(run.scale, b.vals[run.cur]);
-              acc = first ? product : S::add(acc, product);
-              first = false;
-            }
-            ++run.cur;
-            if (run.cur < run.end) {
-              s.heap.replace_top(b.colids[run.cur]);
-            } else {
-              s.heap.pop();
-            }
-          }
-          if (keep) {
-            buf.cols.push_back(col);
-            buf.vals.push_back(acc);
-          }
-        }
-      });
-}
-
-template mtx::CsrMatrix heap_masked_semiring<PlusTimes>(const SpGemmProblem&,
-                                                        const mtx::CsrMatrix&,
-                                                        bool);
-template mtx::CsrMatrix heap_masked_semiring<MinPlus>(const SpGemmProblem&,
-                                                      const mtx::CsrMatrix&,
-                                                      bool);
-template mtx::CsrMatrix heap_masked_semiring<MaxMin>(const SpGemmProblem&,
-                                                     const mtx::CsrMatrix&,
-                                                     bool);
-template mtx::CsrMatrix heap_masked_semiring<BoolOrAnd>(const SpGemmProblem&,
-                                                        const mtx::CsrMatrix&,
-                                                        bool);
-template mtx::CsrMatrix heap_masked_semiring<DynSemiring>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
 
 }  // namespace pbs

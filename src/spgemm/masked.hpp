@@ -6,116 +6,68 @@
 // pattern — for triangle counting that reduces the output from nnz(L²) to
 // nnz(L) entries and removes the separate Hadamard pass.
 //
-// Every Gustavson family member has a fused masked form, each generalized
-// over the semiring (the PB pipeline's fused mask lives in its compress
-// stage — pb/plan.hpp's MaskSpec):
+// There is no separate masked kernel: every Gustavson family member takes
+// a pb::MaskSpec (pb/pb_config.hpp; default = unmasked) and runs the mask
+// test below in its own row loop, generalized over the semiring
+// (spgemm/semiring.hpp):
 //
-//   spgemm_masked_semiring<S> — dense-accumulator (SPA) row loop
-//   heap_masked_semiring<S>   — k-way heap merge, masked at emission
-//   hash_masked_semiring<S>   — two-phase hash, masked in both phases
-//                               (declared here, defined in hash.cpp)
+//   spgemm_semiring<S>      — dense-accumulator (SPA) row loop
+//   heap_spgemm_semiring<S> — k-way heap merge, masked at emission
+//   hash_spgemm_semiring<S> — two-phase hash, masked in both phases
 //
-// The preferred way to run a masked multiplication is the operation
-// descriptor (spgemm/op.hpp): set SpGemmOp::mask/complement and go through
-// make_plan — selection then accounts for the mask's density and every
-// algorithm (including PB) fuses it.  The free function spgemm_masked
-// below survives as a thin shim over that path.
+// The PB pipeline fuses the same MaskSpec at its expand or compress stage
+// (pb/plan.hpp).  The preferred way to run a masked multiplication is the
+// operation descriptor (spgemm/op.hpp): set SpGemmOp::mask/complement and
+// go through make_plan — selection then accounts for the mask's density.
+// spgemm_masked (spgemm/plan.hpp) is a thin shim over that path.
 #pragma once
 
 #include <vector>
 
 #include "matrix/csr.hpp"
-#include "spgemm/semiring_ops.hpp"
-#include "spgemm/spgemm.hpp"
+#include "pb/pb_config.hpp"
 
-namespace pbs {
+namespace pbs::detail {
 
-namespace detail {
+/// Calls body.template operator()<kMasked>() with kMasked = mask.active().
+/// The fused row loops are written once over it and guard every mask test
+/// with kMasked, so their unmasked instantiation compiles the tests away
+/// and a plain multiply runs exactly the loop it would without masking.
+template <typename Body>
+decltype(auto) dispatch_mask(const pb::MaskSpec& mask, Body&& body) {
+  if (mask.active()) return body.template operator()<true>();
+  return body.template operator()<false>();
+}
 
-/// Throws std::invalid_argument unless mask is (a.nrows x b.ncols).
-void check_mask_shape(const char* who, const SpGemmProblem& p,
-                      const mtx::CsrMatrix& mask);
+/// Per-thread output-mask test shared by the fused row loops (spa, heap,
+/// hash) for an active mask.  begin_row(r) stamps the mask row's columns
+/// (allowed[c] == r, so clearing between rows is free) and returns false
+/// when the row cannot produce anything — an empty plain mask row;
+/// skip(c) then applies the polarity in O(1).
+class MaskStamp {
+ public:
+  explicit MaskStamp(const pb::MaskSpec& mask) : mask_(mask) {}
 
-/// Per-thread mask stamps shared by the fused masked row loops (hash,
-/// heap): allowed[c] == r marks column c allowed for the current row r,
-/// so clearing between rows is free and a probe is O(1); `skip` applies
-/// the polarity (complement flips the test).
-struct MaskStamp {
-  std::vector<index_t> allowed;
-
-  void stamp_row(const mtx::CsrMatrix& mask, index_t r) {
-    if (allowed.empty()) {
-      allowed.assign(static_cast<std::size_t>(mask.ncols), -1);
+  [[nodiscard]] bool begin_row(index_t r) {
+    const auto cols = mask_.csr->row_cols(r);
+    if (!mask_.complement && cols.empty()) return false;
+    if (allowed_.empty()) {
+      allowed_.assign(static_cast<std::size_t>(mask_.csr->ncols), -1);
     }
-    for (const index_t c : mask.row_cols(r)) allowed[c] = r;
+    for (const index_t c : cols) allowed_[c] = r;
+    row_ = r;
+    return true;
   }
 
-  /// True when column c should be skipped for row r under the polarity.
-  [[nodiscard]] bool skip(index_t r, index_t c, bool complement) const {
-    return (allowed[c] == r) == complement;
+  /// True when column c of the current row is masked out.
+  [[nodiscard]] bool skip(index_t c) const {
+    return (allowed_[c] == row_) == mask_.complement;
   }
+
+ private:
+  pb::MaskSpec mask_;
+  index_t row_ = -1;
+  std::vector<index_t> allowed_;
 };
 
-}  // namespace detail
-
-/// C(i,j) = ⊕_k A(i,k) ⊗ B(k,j) for (i,j) in the pattern of `mask`; all
-/// other positions are structurally zero.  Entries of `mask` act purely as
-/// a pattern — values are ignored.  With `complement = true` the mask
-/// selects the positions NOT in its pattern (GraphBLAS-style complemented
-/// mask).  Dense-accumulator row loop; O(flop) probes but only
-/// O(nnz(mask(r,:))) accumulator slots per row.
-template <typename S>
-mtx::CsrMatrix spgemm_masked_semiring(const mtx::CsrMatrix& a,
-                                      const mtx::CsrMatrix& b,
-                                      const mtx::CsrMatrix& mask,
-                                      bool complement = false);
-
-// Instantiated in masked.cpp (built-in four + the runtime bridge).
-extern template mtx::CsrMatrix spgemm_masked_semiring<PlusTimes>(
-    const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix spgemm_masked_semiring<MinPlus>(
-    const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix spgemm_masked_semiring<MaxMin>(
-    const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix spgemm_masked_semiring<BoolOrAnd>(
-    const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-
-/// Masked k-way heap merge (heap_spgemm_semiring with the mask applied as
-/// merged columns surface).  Defined in heap.cpp.
-template <typename S>
-mtx::CsrMatrix heap_masked_semiring(const SpGemmProblem& p,
-                                    const mtx::CsrMatrix& mask,
-                                    bool complement = false);
-
-extern template mtx::CsrMatrix heap_masked_semiring<PlusTimes>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix heap_masked_semiring<MinPlus>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix heap_masked_semiring<MaxMin>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix heap_masked_semiring<BoolOrAnd>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-
-/// Masked two-phase hash accumulation.  Defined in hash.cpp.
-template <typename S>
-mtx::CsrMatrix hash_masked_semiring(const SpGemmProblem& p,
-                                    const mtx::CsrMatrix& mask,
-                                    bool complement = false);
-
-extern template mtx::CsrMatrix hash_masked_semiring<PlusTimes>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix hash_masked_semiring<MinPlus>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix hash_masked_semiring<MaxMin>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix hash_masked_semiring<BoolOrAnd>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-
-/// Numeric (+, ×) masked SpGEMM — a thin shim over the descriptor path:
-/// equivalent to make_plan with SpGemmOp{mask, complement} on the SPA
-/// kernel.  Requires matching outer dimensions.
-mtx::CsrMatrix spgemm_masked(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
-                             const mtx::CsrMatrix& mask,
-                             bool complement = false);
-
-}  // namespace pbs
+}  // namespace pbs::detail

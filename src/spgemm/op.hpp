@@ -11,10 +11,11 @@
 //                   at runtime through SemiringRegistry
 //   mask          — restrict the output to a pattern M (or, with
 //                   `complement`, to the positions NOT in M) *fused into
-//                   the kernels*: the Gustavson row loops skip
-//                   accumulations outside the mask and the PB pipeline
-//                   drops masked-out tuples at its compress stage, before
-//                   CSR conversion
+//                   the kernels*: the spa/heap/hash row loops skip
+//                   accumulations outside the mask (spgemm/masked.hpp) and
+//                   the PB pipeline drops masked-out tuples at expand or
+//                   compress, before CSR conversion; esc, hashvec and
+//                   reference filter their full product
 //   accumulate    — GraphBLAS-style C ⊞= A ⊗ B: execute(problem, c)
 //                   combines the product into an existing matrix with the
 //                   semiring's add over the union pattern

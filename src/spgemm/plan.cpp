@@ -104,4 +104,14 @@ SpGemmPlan make_plan(const SpGemmProblem& p, SpGemmOp op) {
   return plan;
 }
 
+mtx::CsrMatrix spgemm_masked(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
+                             const mtx::CsrMatrix& mask, bool complement) {
+  const SpGemmProblem p = SpGemmProblem::multiply(a, b);
+  SpGemmOp op;
+  op.algo = "spa";
+  op.mask = &mask;
+  op.complement = complement;
+  return make_plan(p, op).execute(p);
+}
+
 }  // namespace pbs

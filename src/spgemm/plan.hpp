@@ -169,4 +169,11 @@ class SpGemmPlan {
 /// not match the product.
 SpGemmPlan make_plan(const SpGemmProblem& p, SpGemmOp op = {});
 
+/// Numeric (+, ×) masked SpGEMM, C = (A · B) .* pattern(mask) (or its
+/// complement) — a thin shim over make_plan with SpGemmOp{mask,
+/// complement} on the SPA kernel.  Requires matching outer dimensions.
+mtx::CsrMatrix spgemm_masked(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
+                             const mtx::CsrMatrix& mask,
+                             bool complement = false);
+
 }  // namespace pbs

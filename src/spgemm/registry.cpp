@@ -3,9 +3,7 @@
 #include <stdexcept>
 
 #include "matrix/ops.hpp"
-#include "pb/pb_spgemm.hpp"
 #include "pb/plan.hpp"
-#include "spgemm/masked.hpp"
 #include "spgemm/op.hpp"
 #include "spgemm/semiring.hpp"
 
@@ -26,93 +24,54 @@ pb::PbWorkspace& pb_shared_workspace() {
   return workspace;
 }
 
-/// PB over semiring S through the shared per-thread workspace.
+/// PB over semiring S through the shared per-thread workspace: a fresh
+/// plan (value-freeness derived from S, so a value-free semiring gets the
+/// 8 B key-only stream masked or not) executed once, with the mask fused
+/// at expand or compress.
 template <typename S>
-mtx::CsrMatrix pb_run(const SpGemmProblem& p) {
-  return pb::pb_spgemm<S>(p.a_csc, p.b_csr, pb::PbConfig{},
-                          pb_shared_workspace())
+mtx::CsrMatrix pb_run(const SpGemmProblem& p, const pb::MaskSpec& mask) {
+  pb::PbConfig cfg;
+  cfg.value_free = semiring_is_value_free<S>();
+  const pb::PbPlan plan = pb::pb_plan_build(p.a_csc, p.b_csr, cfg);
+  // The plan was just built from these operands: skip the fingerprint.
+  return pb::pb_execute<S>(p.a_csc, p.b_csr, plan, pb_shared_workspace(),
+                           /*check_fingerprint=*/false, mask)
       .c;
 }
 
+/// The kernel of `algo` over S with `mask` (inactive = unmasked).  PB and
+/// the row-wise heap/hash/spa kernels fuse the mask; the kernels without a
+/// fused form (esc, hashvec, reference) run multiply-then-pattern_filter
+/// (exact, unfused).  The numeric-only baselines only ever reach here with
+/// S = PlusTimes (check_pair), so their registered kernel is the one.
 template <typename S>
-mtx::CsrMatrix heap_run(const SpGemmProblem& p) {
-  return heap_spgemm_semiring<S>(p);
-}
-
-template <typename S>
-mtx::CsrMatrix hash_run(const SpGemmProblem& p) {
-  return hash_spgemm_semiring<S>(p);
-}
-
-template <typename S>
-mtx::CsrMatrix spa_run(const SpGemmProblem& p) {
-  return spgemm_semiring<S>(p.a_csr, p.b_csr);
-}
-
-template <typename S>
-mtx::CsrMatrix reference_run(const SpGemmProblem& p) {
-  return reference_spgemm_semiring<S>(p);
-}
-
-/// The generalized kernel of `algo` over S; algo must be one of the
-/// registry entries flagged `generalized`.
-template <typename S>
-SpGemmFn generalized_kernel(const std::string& algo) {
-  if (algo == "pb") return pb_run<S>;
-  if (algo == "heap") return heap_run<S>;
-  if (algo == "hash") return hash_run<S>;
-  if (algo == "spa") return spa_run<S>;
-  if (algo == "reference") return reference_run<S>;
-  throw std::logic_error("registry: algorithm '" + algo +
-                         "' advertises generalized semirings but has no "
-                         "generalized kernel");
-}
-
-/// Ditto for the fused masked kernels.  PB fuses the mask at its compress
-/// stage; heap/hash/spa in their row loops; the remaining baselines fall
-/// back to multiply-then-pattern_filter (exact, unfused).
-template <typename S>
-SpGemmFn masked_kernel(const std::string& algo, const mtx::CsrMatrix* mask,
-                       bool complement) {
+SpGemmFn kernel(const std::string& algo, const pb::MaskSpec& mask) {
   if (algo == "pb") {
-    return [mask, complement](const SpGemmProblem& p) {
-      // Fresh build + masked execute through the shared workspace; the
-      // plan was just built from these operands, so skip the fingerprint.
-      const pb::PbPlan plan =
-          pb::pb_plan_build(p.a_csc, p.b_csr, pb::PbConfig{});
-      const pb::MaskSpec ms{mask, complement};
-      return pb::pb_execute<S>(p.a_csc, p.b_csr, plan, pb_shared_workspace(),
-                               /*check_fingerprint=*/false, ms)
-          .c;
-    };
+    return [mask](const SpGemmProblem& p) { return pb_run<S>(p, mask); };
   }
   if (algo == "heap") {
-    return [mask, complement](const SpGemmProblem& p) {
-      return heap_masked_semiring<S>(p, *mask, complement);
+    return [mask](const SpGemmProblem& p) {
+      return heap_spgemm_semiring<S>(p, mask);
     };
   }
   if (algo == "hash") {
-    return [mask, complement](const SpGemmProblem& p) {
-      return hash_masked_semiring<S>(p, *mask, complement);
+    return [mask](const SpGemmProblem& p) {
+      return hash_spgemm_semiring<S>(p, mask);
     };
   }
   if (algo == "spa") {
-    return [mask, complement](const SpGemmProblem& p) {
-      detail::check_mask_shape("spgemm_masked_semiring", p, *mask);
-      return spgemm_masked_semiring<S>(p.a_csr, p.b_csr, *mask, complement);
+    return [mask](const SpGemmProblem& p) {
+      return spgemm_semiring<S>(p.a_csr, p.b_csr, mask);
     };
   }
-  // Unfused fallback: exact result, paid as a full multiply plus an
-  // O(nnz) pattern filter.  Generalized algorithms without a fused masked
-  // form (reference) resolve their kernel directly — S may be the runtime
-  // bridge, whose sentinel name must not be re-looked-up; the numeric-only
-  // baselines only ever reach here with a built-in S.
-  const SpGemmFn plain = algorithm(algo).generalized
-                             ? generalized_kernel<S>(algo)
-                             : semiring_algorithm(algo, S::name);
-  return [plain, mask, complement](const SpGemmProblem& p) {
-    detail::check_mask_shape("masked_semiring_algorithm", p, *mask);
-    return mtx::pattern_filter(plain(p), *mask, complement);
+  const SpGemmFn plain = algo == "reference"
+                             ? SpGemmFn(reference_spgemm_semiring<S>)
+                             : algorithm(algo).fn;
+  if (!mask.active()) return plain;
+  return [plain, mask](const SpGemmProblem& p) {
+    mask.check_shape(p.result_rows(), p.result_cols(),
+                     "masked_semiring_algorithm");
+    return mtx::pattern_filter(plain(p), *mask.csr, mask.complement);
   };
 }
 
@@ -156,7 +115,8 @@ const std::vector<AlgoInfo>& algorithms() {
   static const std::vector<AlgoInfo> algos = {
       {"pb",
        "PB-SpGEMM: outer-product ESC with propagation blocking (this paper)",
-       pb_run<PlusTimes>, true, all_semirings(), true},
+       [](const SpGemmProblem& p) { return pb_run<PlusTimes>(p, {}); }, true,
+       all_semirings(), true},
       {"heap", "column/row Gustavson with k-way heap merge [22]",
        heap_spgemm, true, all_semirings(), true},
       {"hash", "column/row Gustavson with hash accumulation [12]",
@@ -205,43 +165,27 @@ std::string algorithm_semiring_matrix() {
 
 SpGemmFn semiring_algorithm(const std::string& algo,
                             const std::string& semiring) {
-  const AlgoInfo& info = check_pair(algo, semiring);
-
-  if (semiring == PlusTimes::name) return info.fn;
-
-  // The generalized kernels; check_pair guarantees the pair is supported,
-  // so `semiring` here is a non-plus_times name of a generalized algorithm
-  // (built-in via the compiled instantiations, runtime via DynSemiring).
-  if (is_semiring_name(semiring)) {
-    return dispatch_semiring(semiring, [&]<typename S>() -> SpGemmFn {
-      return generalized_kernel<S>(algo);
-    });
-  }
-  // Runtime-registered: capture the semiring by value and activate it
-  // around every call (the registry never removes entries, but a value
-  // copy keeps the kernel self-contained).
-  const RuntimeSemiring rs = SemiringRegistry::instance().at(semiring);
-  const SpGemmFn inner = generalized_kernel<DynSemiring>(algo);
-  return [rs, inner](const SpGemmProblem& p) {
-    detail::ScopedSemiring guard(&rs);
-    return inner(p);
-  };
+  return masked_semiring_algorithm(algo, semiring, nullptr, false);
 }
 
 SpGemmFn masked_semiring_algorithm(const std::string& algo,
                                    const std::string& semiring,
                                    const mtx::CsrMatrix* mask,
                                    bool complement) {
-  if (mask == nullptr) return semiring_algorithm(algo, semiring);
   check_pair(algo, semiring);
+  const pb::MaskSpec ms{mask, complement};
 
+  // Built-in semirings resolve to their compiled instantiations.
   if (is_semiring_name(semiring)) {
     return dispatch_semiring(semiring, [&]<typename S>() -> SpGemmFn {
-      return masked_kernel<S>(algo, mask, complement);
+      return kernel<S>(algo, ms);
     });
   }
+  // Runtime-registered: capture the semiring by value and activate it
+  // around every call (the registry never removes entries, but a value
+  // copy keeps the kernel self-contained).
   const RuntimeSemiring rs = SemiringRegistry::instance().at(semiring);
-  const SpGemmFn inner = masked_kernel<DynSemiring>(algo, mask, complement);
+  const SpGemmFn inner = kernel<DynSemiring>(algo, ms);
   return [rs, inner](const SpGemmProblem& p) {
     detail::ScopedSemiring guard(&rs);
     return inner(p);

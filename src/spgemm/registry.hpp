@@ -1,12 +1,13 @@
 // Name -> algorithm registry shared by benches, tests, examples and the
-// CLI, with unified (algorithm × semiring) dispatch.
+// CLI, with unified (algorithm × semiring × mask) dispatch.
 //
 // Every algorithm is registered with the set of semirings it supports.
 // The bandwidth-optimized PB pipeline and the generalized Gustavson
 // kernels (heap, hash, spa, reference) support every *registered* semiring
 // — the built-in four plus anything added through SemiringRegistry
-// (spgemm/op.hpp) at runtime; the remaining baselines are numeric (+, ×)
-// only and say so in their lookup error rather than silently falling back.
+// (spgemm/op.hpp) at runtime; the remaining baselines (hashvec, esc) are
+// numeric (+, ×) only and say so in their lookup error rather than
+// silently falling back.  pb, heap, hash and spa fuse an output mask.
 #pragma once
 
 #include <string>
@@ -49,27 +50,27 @@ const AlgoInfo& algorithm(const std::string& name);
 /// Non-throwing lookup; nullptr on a miss (for probing, e.g. "auto").
 const AlgoInfo* find_algorithm(const std::string& name) noexcept;
 
-/// Unified (algorithm × semiring) lookup: returns the kernel computing
-/// A ⊗ B with `algo` over `semiring` (built-in or runtime-registered).
-/// Throws std::invalid_argument listing every valid
+/// Unified (algorithm × semiring × mask) lookup: returns the kernel
+/// computing A ⊗ B with `algo` over `semiring` (built-in or
+/// runtime-registered), restricted to `mask`'s pattern (or its complement)
+/// when `mask` is non-null.  PB fuses the mask at its expand or compress
+/// stage and heap/hash/spa in their row loops; esc, hashvec and reference
+/// run multiply-then-filter (still exact, just unfused).  `mask` is
+/// captured by pointer and must outlive the returned kernel; its shape is
+/// validated per call.  Throws std::invalid_argument listing every valid
 /// (algorithm, semiring) combination when the algorithm is unknown, the
 /// semiring is unknown, or the pair is unsupported — callers never
 /// silently fall back to a different algorithm or semiring.  This is the
 /// kernel-resolution layer the descriptor path (make_plan + SpGemmOp)
 /// runs on; calling it directly is the non-planning shim.
-SpGemmFn semiring_algorithm(const std::string& algo,
-                            const std::string& semiring);
-
-/// Masked counterpart: the returned kernel computes (A ⊗ B) restricted to
-/// `mask`'s pattern (or its complement) with the mask fused into the
-/// algorithm — the Gustavson row loops for heap/hash/spa, the compress
-/// stage for pb, and a multiply-then-filter fallback for the remaining
-/// baselines (still exact, just unfused).  `mask` is captured by pointer
-/// and must outlive the returned kernel; its shape is validated per call.
 SpGemmFn masked_semiring_algorithm(const std::string& algo,
                                    const std::string& semiring,
                                    const mtx::CsrMatrix* mask,
                                    bool complement);
+
+/// The unmasked call of masked_semiring_algorithm.
+SpGemmFn semiring_algorithm(const std::string& algo,
+                            const std::string& semiring);
 
 /// Human-readable support matrix, one "algo: semiring..." line per
 /// algorithm (used by CLI --help and lookup errors).  Runtime-registered
@@ -81,7 +82,7 @@ std::vector<AlgoInfo> paper_comparison_set();
 
 // ---- plan-returning dispatch ---------------------------------------------
 //
-// semiring_algorithm resolves one call; make_plan resolves a *traffic
+// masked_semiring_algorithm resolves one call; make_plan resolves a *traffic
 // pattern*: it analyzes the problem once (flop, estimated compression
 // factor, roofline-guided selection when the op's algo is "auto" — mask-
 // density-aware when the op carries a mask — PB symbolic bin layout when

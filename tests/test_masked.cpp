@@ -154,15 +154,13 @@ TEST_P(MaskedSemiring, EveryFusedKernelMatchesOracle) {
   for (const bool complement : {false, true}) {
     const mtx::CsrMatrix expected = semiring_oracle(semiring, p, mask, complement);
     // Direct fused kernels...
+    const pb::MaskSpec ms{&mask, complement};
     dispatch_semiring(semiring, [&]<typename S>() {
-      EXPECT_TRUE(equal_exact(
-          spgemm_masked_semiring<S>(a, b, mask, complement), expected))
+      EXPECT_TRUE(equal_exact(spgemm_semiring<S>(a, b, ms), expected))
           << "spa " << semiring << " c=" << complement;
-      EXPECT_TRUE(equal_exact(heap_masked_semiring<S>(p, mask, complement),
-                              expected))
+      EXPECT_TRUE(equal_exact(heap_spgemm_semiring<S>(p, ms), expected))
           << "heap " << semiring << " c=" << complement;
-      EXPECT_TRUE(equal_exact(hash_masked_semiring<S>(p, mask, complement),
-                              expected))
+      EXPECT_TRUE(equal_exact(hash_spgemm_semiring<S>(p, ms), expected))
           << "hash " << semiring << " c=" << complement;
     });
     // ...and the same four through the descriptor plan path (pb included).

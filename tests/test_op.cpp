@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "matrix/ops.hpp"
 #include "spgemm/masked.hpp"
@@ -304,29 +305,54 @@ TEST(SpGemmOpMask, UnfusedBaselinesFallBackToFilteredProduct) {
 }
 
 TEST(SpGemmOpMask, CustomSemiringOnUnfusedGeneralizedAlgorithm) {
-  // Regression: a masked plan over a runtime semiring on a generalized
-  // algorithm without a fused masked form (reference) must resolve the
-  // real kernel — not re-look-up the DynSemiring sentinel name.
+  // A masked plan over a runtime semiring runs the DynSemiring
+  // instantiation of every generalized kernel's masked body — the fused
+  // ones (pb, heap, hash, spa) and, regression, the unfused reference,
+  // which must resolve the real kernel rather than re-look-up the
+  // DynSemiring sentinel name.
   (void)plus_max();
   const mtx::CsrMatrix a = testutil::exact_er(80, 80, 4.0, 122);
   const mtx::CsrMatrix mask = testutil::exact_er(80, 80, 5.0, 123);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  SpGemmOp op;
-  op.algo = "reference";
-  op.semiring = kPlusMax;
-  op.mask = &mask;
-  SpGemmPlan plan = make_plan(p, op);
-  EXPECT_TRUE(mtx::equal_exact(
-      plan.execute(p), mtx::pattern_filter(plus_max_oracle(p), mask)));
+  for (const char* algo : {"pb", "heap", "hash", "spa", "reference"}) {
+    for (const bool complement : {false, true}) {
+      SpGemmOp op;
+      op.algo = algo;
+      op.semiring = kPlusMax;
+      op.mask = &mask;
+      op.complement = complement;
+      SpGemmPlan plan = make_plan(p, op);
+      EXPECT_TRUE(mtx::equal_exact(
+          plan.execute(p),
+          mtx::pattern_filter(plus_max_oracle(p), mask, complement)))
+          << algo << " c=" << complement;
+    }
+  }
 }
 
 TEST(SpGemmOpMask, MaskShapeMismatchThrowsAtPlanTime) {
+  // Every registry algorithm (and auto) rejects a mis-shaped mask: at plan
+  // time through the descriptor, and per call through the bare resolver.
   const mtx::CsrMatrix a = testutil::exact_er(50, 50, 3.0, 105);
   const mtx::CsrMatrix bad = testutil::exact_er(50, 51, 3.0, 106);
-  SpGemmOp op;
-  op.mask = &bad;
-  EXPECT_THROW((void)make_plan(SpGemmProblem::square(a), op),
-               std::invalid_argument);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  std::vector<std::string> algos = {"auto"};
+  for (const AlgoInfo& info : algorithms()) algos.push_back(info.name);
+  for (const std::string& algo : algos) {
+    for (const bool complement : {false, true}) {
+      SpGemmOp op;
+      op.algo = algo;
+      op.mask = &bad;
+      op.complement = complement;
+      EXPECT_THROW((void)make_plan(p, op), std::invalid_argument)
+          << algo << " c=" << complement;
+      if (algo == "auto") continue;
+      const SpGemmFn fn =
+          masked_semiring_algorithm(algo, "plus_times", &bad, complement);
+      EXPECT_THROW((void)fn(p), std::invalid_argument)
+          << algo << " c=" << complement;
+    }
+  }
 }
 
 TEST(SpGemmOpMask, MaskPatternMayChangeBetweenExecutes) {
