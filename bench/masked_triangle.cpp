@@ -1,5 +1,5 @@
 // Masked triangle-counting sweep: the fused masked descriptor
-// (SpGemmOp{mask = L} through make_plan/execute) vs the unfused
+// (SpGemmOp{mask = L} through SpGemmExecutor::run) vs the unfused
 // multiply-then-Hadamard formulation, per algorithm, on R-MAT graphs.
 //
 //   triangles = Σ ( (L·L) .* L ),  L = strict lower triangle of the
@@ -18,8 +18,8 @@
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/op.hpp"
-#include "spgemm/plan.hpp"
 
 namespace {
 
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   JsonSink sink(args);
 
   print_header("masked triangle counting — fused descriptor vs multiply-then-Hadamard",
-               "fused: SpGemmOp{mask = L} through make_plan; unfused: full "
-               "L*L then pattern filter");
+               "fused: SpGemmOp{mask = L} through the executor; unfused: "
+               "full L*L then pattern filter");
   Table table({"scale", "ef", "algo", "resolved", "fused_ms", "unfused_ms",
                "speedup", "dropped", "triangles"});
 
@@ -61,24 +61,26 @@ int main(int argc, char** argv) {
       const nnz_t flop = mtx::count_flops(lower, lower);
 
       for (const std::string& algo : algos) {
-        // Fused: one descriptor plan, executed repeatedly (analysis paid
-        // once — the architecture's steady state).
+        // Fused: one descriptor, prepared once and run repeatedly through
+        // the executor's cached plan (analysis paid once — the
+        // architecture's steady state).
         SpGemmOp op;
         op.algo = algo;
         op.mask = &lower;
-        SpGemmPlan plan = make_plan(p, op);
+        SpGemmExecutor exec;
+        RunInfo info;
+        exec.prepare(p, op, &info);
         double triangles = 0;
         const RunStats fused = measure_seconds(
-            [&] { triangles = mtx::value_sum(plan.execute(p)); }, reps,
-            warmup);
-        const nnz_t dropped =
-            plan.algo() == "pb" ? plan.last_pb_stats().mask_dropped : 0;
+            [&] { triangles = mtx::value_sum(exec.run(p, op, &info)); },
+            reps, warmup);
+        const nnz_t dropped = info.used_pb ? info.pb_stats.mask_dropped : 0;
 
         // Unfused: the same concrete algorithm's full product, then the
         // value-safe masking pass (pattern_filter — what hadamard with a
         // pattern mask computes).  "auto" resolves to the masked plan's
         // choice so both sides run the same kernel family.
-        const AlgoInfo& unfused_algo = algorithm(plan.algo());
+        const AlgoInfo& unfused_algo = algorithm(info.algo);
         double triangles_unfused = 0;
         const RunStats unfused = measure_seconds(
             [&] {
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
             reps, warmup);
 
         const double speedup = fused.min > 0 ? unfused.min / fused.min : 0.0;
-        table.row(scale, ef, algo, plan.algo(), fused.min * 1e3,
+        table.row(scale, ef, algo, info.algo, fused.min * 1e3,
                   unfused.min * 1e3, speedup, dropped,
                   static_cast<long long>(triangles));
         if (triangles != triangles_unfused) {
@@ -101,7 +103,7 @@ int main(int argc, char** argv) {
             .field("scale", static_cast<std::int64_t>(scale))
             .field("ef", static_cast<std::int64_t>(ef))
             .field("algo", algo)
-            .field("resolved", plan.algo())
+            .field("resolved", info.algo)
             .field("flop", static_cast<std::int64_t>(flop))
             .field("fused_ms", fused.min * 1e3)
             .field("unfused_ms", unfused.min * 1e3)

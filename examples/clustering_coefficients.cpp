@@ -7,8 +7,8 @@
 // Per-vertex triangle counts come from one masked SpGEMM: with A the
 // undirected adjacency pattern, (A·A).*A counts, for every edge (u,v), the
 // common neighbours of u and v; the row sums of that matrix are
-// 2·triangles(v).  Everything here is public-API plumbing around
-// spgemm_masked.
+// 2·triangles(v).  Everything here is public-API plumbing around the
+// masked SPA kernel, spgemm_semiring with an output mask.
 //
 //   ./clustering_coefficients [scale] [edge_factor]
 #include <pbs/pbs.hpp>
@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
             << " vertices, " << adj.nnz() / 2 << " edges\n";
 
   pbs::Timer timer;
-  const pbs::mtx::CsrMatrix wedge_closures = pbs::spgemm_masked(adj, adj, adj);
+  const pbs::mtx::CsrMatrix wedge_closures =
+      pbs::spgemm_semiring<pbs::PlusTimes>(adj, adj, {&adj, false});
   const std::vector<pbs::value_t> tri2 = pbs::mtx::row_sums(wedge_closures);
   const double spgemm_ms = timer.elapsed_ms();
 

@@ -13,11 +13,11 @@
 // formulations are compared:
 //   * multiply-then-Hadamard: full L·L with each registry algorithm, then
 //     a separate masking pass;
-//   * the fused masked descriptor (SpGemmOp{mask = L} through make_plan):
-//     the mask rides inside the kernel — PB drops masked-out tuples at its
-//     compress stage (the telemetry reports how many), the Gustavson row
-//     loops skip them outright — and "auto" selection accounts for the
-//     mask's density.
+//   * the fused masked descriptor (SpGemmOp{mask = L} through
+//     SpGemmExecutor::run): the mask rides inside the kernel — PB drops
+//     masked-out tuples at its compress stage (the telemetry reports how
+//     many), the Gustavson row loops skip them outright — and "auto"
+//     selection accounts for the mask's density.
 #include <pbs/pbs.hpp>
 
 #include <cstdlib>
@@ -46,11 +46,11 @@ double count_triangles_masked(const pbs::mtx::CsrMatrix& lower,
   pbs::SpGemmOp op;
   op.algo = algo;
   op.mask = &lower;
-  pbs::SpGemmPlan plan = pbs::make_plan(p, op);
-  const double count = pbs::mtx::value_sum(plan.execute(p));
+  pbs::SpGemmExecutor exec;
+  pbs::RunInfo info;
+  const double count = pbs::mtx::value_sum(exec.run(p, op, &info));
   *seconds = timer.elapsed_s();
-  *pb_dropped =
-      plan.algo() == "pb" ? plan.last_pb_stats().mask_dropped : 0;
+  *pb_dropped = info.used_pb ? info.pb_stats.mask_dropped : 0;
   return count;
 }
 

@@ -20,7 +20,7 @@ std::once_flag g_env_once;
 
 std::atomic<std::int64_t> g_alloc_countdown{-1};        // -1 = unarmed
 std::atomic<std::int64_t> g_point_countdown[kNumFaultPoints] = {
-    {-1}, {-1}, {-1}, {-1}, {-1}};
+    {-1}, {-1}, {-1}, {-1}};
 std::atomic<std::uint32_t> g_slow_bin_ms{0};
 
 bool any_armed() noexcept {
@@ -40,7 +40,6 @@ FaultPoint parse_point(const std::string& name, bool& ok) noexcept {
   if (name == "expand") return FaultPoint::kExpand;
   if (name == "sort_compress") return FaultPoint::kSortCompress;
   if (name == "convert") return FaultPoint::kConvert;
-  if (name == "batch_worker") return FaultPoint::kBatchWorker;
   ok = false;
   return FaultPoint::kPlanBuild;
 }
@@ -82,7 +81,6 @@ const char* fault_point_name(FaultPoint p) noexcept {
     case FaultPoint::kExpand: return "expand";
     case FaultPoint::kSortCompress: return "sort_compress";
     case FaultPoint::kConvert: return "convert";
-    case FaultPoint::kBatchWorker: return "batch_worker";
   }
   return "?";
 }

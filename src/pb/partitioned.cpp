@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/timer.hpp"
-
 namespace pbs::pb {
 
 mtx::CscMatrix slice_rows(const mtx::CscMatrix& a, index_t row_lo,
@@ -142,111 +140,15 @@ mtx::CsrMatrix stack_row_blocks(const std::vector<mtx::CsrMatrix>& pieces,
   return c;
 }
 
-PartitionedPlan make_partitioned_plan(const mtx::CscMatrix& a,
-                                      const mtx::CsrMatrix& b, int nparts,
-                                      const PbConfig& cfg) {
-  nparts = checked_nparts(a, b, nparts);
-
-  PartitionedPlan plan;
-  plan.a_nrows_ = a.nrows;
-  plan.a_parts_.reserve(static_cast<std::size_t>(nparts));
-  plan.plans_.reserve(static_cast<std::size_t>(nparts));
-
-  Timer timer;
-  const std::vector<index_t> bounds = split_ranges(a.nrows, nparts);
-  for (int part = 0; part < nparts; ++part) {
-    const index_t lo = bounds[static_cast<std::size_t>(part)];
-    const index_t hi = bounds[static_cast<std::size_t>(part) + 1];
-    plan.a_parts_.push_back(slice_rows(a, lo, hi));
-    plan.part_row_lo_.push_back(lo);
-    plan.plans_.push_back(pb_plan_build(plan.a_parts_.back(), b, cfg));
-  }
-  plan.build_seconds_ = timer.elapsed_s();
-  return plan;
-}
-
-void PartitionedPlan::update_a_values(const mtx::CscMatrix& a) {
-  if (a.nrows != a_nrows_ ||
-      (!a_parts_.empty() && a.ncols != a_parts_.front().ncols)) {
-    throw std::invalid_argument(
-        "PartitionedPlan::update_a_values: dimensions differ from the "
-        "build-time A");
-  }
-  const auto structure_changed = [] {
-    return std::invalid_argument(
-        "PartitionedPlan::update_a_values: A's structure differs from the "
-        "build-time A (slice values now unspecified; rebuild the plan)");
-  };
-  // ONE pass over A, routing each entry to its part: the parts own
-  // contiguous ascending row ranges and a column's rows are sorted, so
-  // the destination part only ever advances within a column.  The frozen
-  // slices' per-column occupancy doubles as the structure check: any
-  // entry that does not land exactly on the slice's recorded position
-  // (or a column that ends short) proves the structure changed.
-  const std::size_t nparts = a_parts_.size();
-  std::vector<nnz_t> pos(nparts);
-  for (index_t c = 0; c < a.ncols; ++c) {
-    for (std::size_t part = 0; part < nparts; ++part) {
-      pos[part] = a_parts_[part].colptr[c];
-    }
-    std::size_t part = 0;
-    const auto rows = a.col_rows(c);
-    const auto vals = a.col_vals(c);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      while (part + 1 < nparts && rows[i] >= part_row_lo_[part + 1]) {
-        ++part;
-      }
-      mtx::CscMatrix& slice = a_parts_[part];
-      const index_t local_row = rows[i] - part_row_lo_[part];
-      const nnz_t at = pos[part];
-      if (at == slice.colptr[static_cast<std::size_t>(c) + 1] ||
-          slice.rowids[static_cast<std::size_t>(at)] != local_row) {
-        throw structure_changed();
-      }
-      slice.vals[static_cast<std::size_t>(at)] = vals[i];
-      ++pos[part];
-    }
-    for (std::size_t p = 0; p < nparts; ++p) {
-      if (pos[p] != a_parts_[p].colptr[static_cast<std::size_t>(c) + 1]) {
-        throw structure_changed();
-      }
-    }
-  }
-}
-
-PartitionedResult PartitionedPlan::execute(const mtx::CsrMatrix& b,
-                                           bool check_fingerprint) {
-  PartitionedResult out;
-  out.parts.reserve(plans_.size());
-
-  std::vector<mtx::CsrMatrix> pieces;
-  pieces.reserve(plans_.size());
-
-  for (std::size_t part = 0; part < plans_.size(); ++part) {
-    // b is caller-supplied on every execute, so by default keep
-    // pb_execute's fingerprint check: a structurally different b fails
-    // loudly here (one O(ncols) flop recount per part) instead of
-    // corrupting the captured bin layouts.
-    PbResult r = pb_execute<PlusTimes>(a_parts_[part], b, plans_[part],
-                                       workspace_, check_fingerprint);
-    out.parts.push_back(r.stats);
-    pieces.push_back(std::move(r.c));
-  }
-
-  out.c = stack_row_blocks(pieces, a_nrows_, b.ncols);
-  return out;
-}
-
 PartitionedResult pb_spgemm_partitioned(const mtx::CscMatrix& a,
                                         const mtx::CsrMatrix& b, int nparts,
                                         const PbConfig& cfg) {
   nparts = checked_nparts(a, b, nparts);
 
-  // One-shot form: slice, analyze, execute and free one part at a time
-  // through the plan-build/execute split — unlike PartitionedPlan it never
-  // holds more than one row slice of A, so peak memory matches the
-  // pre-plan implementation.  The in-line analysis lands in each part's
-  // symbolic stats, like pb_spgemm.
+  // Slice, analyze, execute and free one part at a time through the
+  // plan-build/execute split, so no more than one row slice of A is held
+  // at once.  The in-line analysis lands in each part's symbolic stats,
+  // like pb_spgemm.
   PartitionedResult out;
   out.parts.reserve(static_cast<std::size_t>(nparts));
   std::vector<mtx::CsrMatrix> pieces;

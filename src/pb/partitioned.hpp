@@ -11,13 +11,8 @@
 // contiguous row ranges; each part runs the full PB pipeline; the
 // per-part CSR results are stacked (their row ranges are disjoint and
 // ordered, so stacking is a concatenation).  On a single socket it serves
-// as the ablation for the extra-B-reads trade-off the paper describes.
-//
-// The variant is plan-aware: slicing A and analyzing every part are pure
-// structure work, so PartitionedPlan captures the row slices and their
-// per-part symbolic plans once and execute() replays only the numeric
-// pipeline stages against a pooled workspace — the partitioned analogue of
-// pb_plan_build / pb_execute (pb/plan.hpp).
+// as the ablation for the extra-B-reads trade-off the paper describes
+// (bench/ext_partitioned).
 #pragma once
 
 #include "pb/plan.hpp"
@@ -36,83 +31,20 @@ struct PartitionedResult {
   }
 };
 
-/// Reusable partitioned plan: owns the row slices of A (structure *and*
-/// values, frozen at build time) and one PbPlan per part.  execute(b)
-/// multiplies the captured A against `b`, whose structure must match the
-/// build-time B (checked per part via the plan fingerprints; values are
-/// free to change).
-class PartitionedPlan {
- public:
-  /// Runs every part's expand → sort/compress → convert through the
-  /// pooled workspace and stacks the results.  With check_fingerprint
-  /// (the default) a b whose structure no longer matches throws
-  /// std::invalid_argument; callers that just built the plan from this
-  /// exact b pass false and skip the per-part flop recounts.
-  PartitionedResult execute(const mtx::CsrMatrix& b,
-                            bool check_fingerprint = true);
-
-  /// Value-only refresh of the frozen A slices: re-scatters `a`'s values
-  /// into every part without re-slicing or re-analyzing.  For iterative
-  /// workloads that update A's numeric values in place (relaxation
-  /// sweeps, reweighted graphs) — the partitioned analogue of the
-  /// executor's value-only fast path.  `a` must have the build-time A's
-  /// exact structure: dimensions, nnz, and per-part row occupancy are
-  /// verified during the single copy pass and a mismatch throws
-  /// std::invalid_argument (the slices' values are then unspecified;
-  /// rebuild the plan).  Entries moved between rows at equal counts
-  /// cannot be detected — the same residual caveat as
-  /// StructureFingerprint.
-  void update_a_values(const mtx::CscMatrix& a);
-
-  [[nodiscard]] int nparts() const { return static_cast<int>(plans_.size()); }
-
-  /// Symbolic cost paid at build time, summed over parts plus the
-  /// A-slicing passes (for amortization reporting).
-  [[nodiscard]] double build_seconds() const { return build_seconds_; }
-
-  /// The per-part symbolic plans (their .symbolic records each part's own
-  /// analysis cost, excluding slicing).
-  [[nodiscard]] const std::vector<PbPlan>& part_plans() const {
-    return plans_;
-  }
-
-  [[nodiscard]] PbWorkspace::Stats workspace_stats() const {
-    return workspace_.stats();
-  }
-
- private:
-  friend PartitionedPlan make_partitioned_plan(const mtx::CscMatrix& a,
-                                               const mtx::CsrMatrix& b,
-                                               int nparts, const PbConfig& cfg);
-
-  std::vector<mtx::CscMatrix> a_parts_;
-  std::vector<index_t> part_row_lo_;  ///< global first row of each part
-  std::vector<PbPlan> plans_;
-  PbWorkspace workspace_;
-  index_t a_nrows_ = 0;
-  double build_seconds_ = 0;
-};
-
-/// Slices A into `nparts` row blocks and builds one symbolic plan per
-/// block.  Requires 1 <= nparts and a.ncols == b.nrows.
-PartitionedPlan make_partitioned_plan(const mtx::CscMatrix& a,
-                                      const mtx::CsrMatrix& b, int nparts,
-                                      const PbConfig& cfg = {});
-
-/// Multiplies A·B with A split into `nparts` row blocks (plan built and
-/// executed once).  nparts == 1 is equivalent to pb_spgemm.  Requires
-/// 1 <= nparts and a.ncols == b.nrows.
+/// Multiplies A·B with A split into `nparts` row blocks (each part's plan
+/// built and executed once).  nparts == 1 is equivalent to pb_spgemm.
+/// Requires 1 <= nparts and a.ncols == b.nrows.
 PartitionedResult pb_spgemm_partitioned(const mtx::CscMatrix& a,
                                         const mtx::CsrMatrix& b, int nparts,
                                         const PbConfig& cfg = {});
 
 // ---- tile slicing primitives ----------------------------------------------
 //
-// The contiguous-range splits PartitionedPlan freezes for its 1D row
-// decomposition, exposed so the 2D shard router (serve/shard.hpp) can
-// generalize them to a row×column tile grid: A split row-wise, B split
-// column-wise, each tile multiplied by an independent executor and the
-// tile outputs merged back into one CSR.
+// The contiguous-range splits of the 1D row decomposition above, exposed
+// so the 2D shard router (serve/shard.hpp) can generalize them to a
+// row×column tile grid: A split row-wise, B split column-wise, each tile
+// multiplied by an independent executor and the tile outputs merged back
+// into one CSR.
 
 /// Bounds of `k` contiguous, balanced ranges covering [0, n): k+1
 /// ascending cut points with front() == 0 and back() == n.  Requires

@@ -31,8 +31,8 @@
 //
 // pb_spgemm is the fused form of the plan/execute split in pb/plan.hpp
 // (pb_plan_build + pb_execute<S>); repeated multiplications with the same
-// structure should build a plan once and execute it, or use the
-// self-selecting SpGemmPlan in spgemm/plan.hpp.
+// structure should build a plan once and execute it, or run through the
+// plan-caching, self-selecting SpGemmExecutor in spgemm/executor.hpp.
 #pragma once
 
 #include <algorithm>
@@ -126,33 +126,6 @@ class PbWorkspace {
   PbWorkspace() = default;
   PbWorkspace(const PbWorkspace&) = delete;
   PbWorkspace& operator=(const PbWorkspace&) = delete;
-
-  // Movable (PartitionedPlan holds workspaces by value): the source hands
-  // over its buffers AND its budget charge — its members are left empty,
-  // so its destructor releases nothing.
-  PbWorkspace(PbWorkspace&& other) noexcept
-      : buf_(std::move(other.buf_)),
-        scratch_(std::move(other.scratch_)),
-        stats_(other.stats_),
-        fresh_(other.fresh_),
-        budget_(other.budget_) {
-    other.scratch_.clear();
-    other.budget_ = nullptr;
-  }
-
-  PbWorkspace& operator=(PbWorkspace&& other) noexcept {
-    if (this != &other) {
-      release_budget_charge();
-      buf_ = std::move(other.buf_);
-      scratch_ = std::move(other.scratch_);
-      stats_ = other.stats_;
-      fresh_ = other.fresh_;
-      budget_ = other.budget_;
-      other.scratch_.clear();
-      other.budget_ = nullptr;
-    }
-    return *this;
-  }
 
   ~PbWorkspace() { release_budget_charge(); }
 

@@ -14,9 +14,9 @@
 // captured bin layout and a pooled workspace, so steady-state executions
 // perform no analysis and no allocation (assertable via PbWorkspace
 // stats).  A StructureFingerprint makes invalidation cheap: executions
-// must pass operands whose fingerprint matches the plan's, and the
-// higher-level SpGemmPlan (spgemm/plan.hpp) uses the same fingerprint to
-// replan automatically when operands change shape.
+// must pass operands whose fingerprint matches the plan's, and
+// SpGemmExecutor (spgemm/executor.hpp) keys its plan cache on the same
+// fingerprint, so a changed structure is analyzed afresh automatically.
 //
 // The fingerprint is dims + nnz + flop + a sampled structural hash.  flop
 // (an O(k) pointer-array product) is sensitive to how the operands'

@@ -11,18 +11,16 @@
 //   auto m   = pbs::hash_spgemm_semiring<pbs::MinPlus>(p, {&a, false});
 //
 //   // Repeated traffic: analyze + select once, execute many
-//   auto plan = pbs::make_plan(p);          // algo = "auto" (roofline-guided)
-//   for (...) auto c3 = plan.execute(p);    // no re-analysis, no re-allocation
-//
-//   // Serving: one executor, many structures/ops/threads
 //   pbs::SpGemmExecutor exec;               // fingerprint-keyed plan cache
-//   auto c4 = exec.run(p);                  // thread-safe, workspace-pooled
+//   pbs::SpGemmOp op;                       // algo = "auto" (roofline-guided)
+//   for (...) auto c3 = exec.run(p, op);    // no re-analysis, no re-allocation
+//   // ...thread-safe and workspace-pooled: many structures, ops, threads
 //
 //   // Serving daemon: pbs_serve over a Unix socket (serve/server.hpp),
 //   // or embed the pieces — wire protocol, shard router, registry:
 //   pbs::serve::Client cli("/tmp/pbs_serve.sock");
 //   auto h  = cli.upload(a);                // ship A once
-//   auto c5 = cli.square(h);                // iterate by handle
+//   auto c4 = cli.square(h);                // iterate by handle
 //
 // See README.md for the architecture overview and examples/ for complete
 // programs.
@@ -59,7 +57,6 @@
 #include "spgemm/executor.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/op.hpp"
-#include "spgemm/plan.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "spgemm/spgemm.hpp"

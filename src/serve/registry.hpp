@@ -38,9 +38,8 @@ class MatrixRegistry {
 
   /// Replaces the values of a registered matrix, keeping its structure:
   /// m must match the stored matrix's dims, rowptr, AND colids exactly
-  /// (the full-structure analogue of PartitionedPlan::update_a_values'
-  /// check — so an update cannot introduce column ids the upload-time
-  /// validation never saw).  Returns false for an unknown handle; throws
+  /// (so an update cannot introduce column ids the upload-time validation
+  /// never saw).  Returns false for an unknown handle; throws
   /// std::invalid_argument on a structure mismatch, leaving the stored
   /// matrix unchanged.
   bool update_values(std::uint64_t handle, const mtx::CsrMatrix& m);

@@ -84,11 +84,6 @@ mtx::CsrMatrix ShardRouter::run_impl(const SpGemmProblem& p,
   if (p.a_csr.ncols != p.b_csr.nrows) {
     throw std::invalid_argument("ShardRouter: dimensions differ");
   }
-  if (op.accumulate) {
-    throw std::logic_error(
-        "ShardRouter: accumulating ops are not routable (accumulate "
-        "client-side over the returned product)");
-  }
 
   const index_t nrows = p.a_csr.nrows;
   const index_t ncols = p.b_csr.ncols;
@@ -142,9 +137,8 @@ mtx::CsrMatrix ShardRouter::run_impl(const SpGemmProblem& p,
   }
   for (std::thread& t : threads) t.join();
 
-  // Root-cause preference mirrors the executor's batch fan-out: a tile
-  // that failed for a real reason beats tiles that merely got cancelled
-  // in its wake.
+  // Root-cause preference: a tile that failed for a real reason beats
+  // tiles that merely got cancelled in its wake.
   std::exception_ptr first;
   std::exception_ptr non_cancel;
   for (const std::exception_ptr& e : errors) {
@@ -222,7 +216,6 @@ ExecutorStats ShardRouter::aggregate_stats() const {
     agg.cache_entries += st.cache_entries;
     agg.cache_bytes += st.cache_bytes;
     agg.bytes_evicted += st.bytes_evicted;
-    agg.batches += st.batches;
     agg.calibrations += st.calibrations;
     agg.degraded_plans += st.degraded_plans;
     agg.degraded_runs += st.degraded_runs;

@@ -1,5 +1,6 @@
-// 2D tile shard router — PartitionedPlan's row decomposition generalized
-// to a row×column grid of independent executors.
+// 2D tile shard router — the row decomposition of pb_spgemm_partitioned
+// (pb/partitioned.hpp) generalized to a row×column grid of independent
+// executors.
 //
 // CombBLAS-style 2D decomposition (Buluç & Gilbert) splits both operands
 // over a process grid; the in-node analogue here splits A row-wise and B
@@ -55,8 +56,7 @@ class ShardRouter {
   /// SpGemmExecutor::run.  `info`, when given, reports the (0,0) tile's
   /// telemetry with cache_hit/value_only/degraded aggregated as "true
   /// only if every tile says so".  Throws like the executor; when tiles
-  /// fail differently, a non-cancellation cause wins (mirrors the
-  /// executor's batch fan-out).
+  /// fail differently, a non-cancellation cause wins.
   mtx::CsrMatrix run(const SpGemmProblem& p, const SpGemmOp& op,
                      const RunOptions& ropts = {}, RunInfo* info = nullptr);
 

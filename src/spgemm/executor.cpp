@@ -1,18 +1,14 @@
 #include "spgemm/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <list>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "common/cancel.hpp"
 #include "common/errors.hpp"
-#include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "pb/symbolic.hpp"
@@ -23,12 +19,17 @@ namespace pbs {
 
 namespace {
 
+/// Telemetry ring capacity: the most recent samples kept for
+/// calibrate()/samples().
+constexpr std::size_t kMaxSamples = 512;
+
 // Everything of an op that changes what planning produces: the algorithm
 // and semiring, the mask binding (by address — the pattern behind it may
 // change freely, the fused kernels re-read it per call), and the pb/model
-// tunables that steer symbolic layout and "auto" selection.  accumulate
-// is execution-time behavior and deliberately excluded: an accumulating
-// op shares its cached plan with the plain product.  post_op IS keyed —
+// tunables that steer symbolic layout and "auto" selection.  The
+// accumulation target is a run() argument, not part of the op, so an
+// accumulating run shares its cached plan with the plain product.
+// post_op IS keyed —
 // the cached entry's op copy carries it into every execution, so two ops
 // differing only in their post-op must not share an entry.
 std::string op_cache_key(const SpGemmOp& op) {
@@ -53,11 +54,11 @@ std::string op_cache_key(const SpGemmOp& op) {
 pb::MaskSpec mask_of(const SpGemmOp& op) { return {op.mask, op.complement}; }
 
 /// Descriptor-level legality of op.post_op, enforced at every entry point
-/// (plan time, never execute time).  `accumulating` covers both the
-/// op.accumulate flag and the accumulating run overload's target.
-void check_post_op(const SpGemmOp& op, bool accumulating) {
+/// (plan time, never execute time).  `accumulate` is the accumulating
+/// run's target (nullptr for a plain product).
+void check_post_op(const SpGemmOp& op, const mtx::CsrMatrix* accumulate) {
   if (!op.post_op.active()) return;
-  if (accumulating) {
+  if (accumulate != nullptr) {
     throw std::invalid_argument(
         "SpGemmExecutor: post_op and accumulate are mutually exclusive "
         "(prune/top-k over a merged C is ambiguous — run the product with "
@@ -79,8 +80,8 @@ bool is_passthrough(const SpGemmOp& op) {
 /// DynSemiring bridge routes scalar ops through ONE process-global
 /// active-semiring pointer (spgemm/op.hpp), so the mutex must be
 /// process-global too — a per-executor mutex would let two executors
-/// (e.g. two SpGemmPlans, each owning a private executor) interleave
-/// their activations and silently compute with the wrong semiring.
+/// (e.g. the tiles of a ShardRouter) interleave their activations and
+/// silently compute with the wrong semiring.
 std::mutex& dyn_semiring_mutex() {
   static std::mutex mu;
   return mu;
@@ -178,7 +179,6 @@ std::size_t entry_bytes(const CachedPlanEntry& e) {
 struct SpGemmExecutor::Impl {
   explicit Impl(ExecutorOptions o) : opts(o) {
     opts.cache_capacity = std::max<std::size_t>(opts.cache_capacity, 1);
-    opts.max_samples = std::max<std::size_t>(opts.max_samples, 1);
     pool.set_budget_bytes(opts.mem_budget_bytes);
   }
 
@@ -367,15 +367,10 @@ struct SpGemmExecutor::Impl {
 
   /// Full analysis for one (structure, op): "auto" selection (mask-aware,
   /// with the structural-only masked nnz estimate), kernel resolution,
-  /// and the PB symbolic build when the choice lands on pb.  Shared
-  /// analysis products from a batch caller arrive via `shared_row_flops`
-  /// / `shared_nnz_est` (< 0 = unknown) so each O(nnz)/O(ncols) pass runs
-  /// at most once per batch.
+  /// and the PB symbolic build when the choice lands on pb.
   EntryPtr analyze(const SpGemmProblem& p, const SpGemmOp& op,
                    const std::string& key,
-                   const pb::StructureFingerprint& fp,
-                   std::span<const nnz_t> shared_row_flops,
-                   nnz_t shared_nnz_est) {
+                   const pb::StructureFingerprint& fp) {
     Timer timer;
     mask_of(op).check_shape(p.result_rows(), p.result_cols(),
                             "SpGemmExecutor");
@@ -394,17 +389,10 @@ struct SpGemmExecutor::Impl {
     entry->auto_requested = op.algo == "auto";
 
     std::string resolved = op.algo;
-    std::vector<nnz_t> row_flops_storage;
-    std::span<const nnz_t> row_flops = shared_row_flops;
+    std::vector<nnz_t> row_flops;
     if (entry->auto_requested) {
-      if (row_flops.empty()) {
-        row_flops_storage = pb::pb_row_flops(p.a_csc, p.b_csr);
-        row_flops = row_flops_storage;
-      }
-      const nnz_t nnz_est =
-          shared_nnz_est >= 0
-              ? shared_nnz_est
-              : pb::pb_estimate_nnz_c(row_flops, p.b_csr.ncols);
+      row_flops = pb::pb_row_flops(p.a_csc, p.b_csr);
+      const nnz_t nnz_est = pb::pb_estimate_nnz_c(row_flops, p.b_csr.ncols);
       const double cf = static_cast<double>(fp.flop) /
                         static_cast<double>(std::max<nnz_t>(nnz_est, 1));
       const AlgoInfo* hash = find_algorithm("hash");
@@ -518,6 +506,23 @@ struct SpGemmExecutor::Impl {
     return entry;
   }
 
+  /// The cached entry for (p, op) — fingerprint, find, and on a miss
+  /// analyze + insert — with the lookup counted as a cache hit or miss.
+  EntryPtr resolve(const SpGemmProblem& p, const SpGemmOp& op,
+                   const std::string& key, bool& hit) {
+    const pb::StructureFingerprint fp =
+        pb::StructureFingerprint::of(p.a_csc, p.b_csr);
+    EntryPtr entry = find(fp, key);
+    hit = entry != nullptr;
+    if (!hit) {
+      entry = analyze(p, op, key, fp);
+      insert(entry);
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    hit ? ++stats.cache_hits : ++stats.cache_misses;
+    return entry;
+  }
+
   // ---- execution -----------------------------------------------------------
 
   mtx::CsrMatrix execute_entry(const EntryPtr& entry, const SpGemmProblem& p,
@@ -583,7 +588,7 @@ struct SpGemmExecutor::Impl {
                            entry->predicted_mflops, achieved,
                            entry->sel_pb_efficiency,
                            entry->sel_column_latency_penalty});
-        if (samples.size() > opts.max_samples) {
+        if (samples.size() > kMaxSamples) {
           samples.erase(samples.begin());
         }
         want_calibration = opts.calibrate_after > 0 && !calibrated &&
@@ -665,7 +670,7 @@ mtx::CsrMatrix SpGemmExecutor::run_product(const SpGemmProblem& p,
                                            const mtx::CsrMatrix* accumulate) {
   Impl& im = *impl_;
   if (info != nullptr) *info = RunInfo{};  // no stale fields across reuses
-  check_post_op(op, op.accumulate || accumulate != nullptr);
+  check_post_op(op, accumulate);
   if (im.opts.validate_inputs) im.validate_problem(p, op);
 
   // This run's token: RunOptions deadline/cancel + the executor's
@@ -683,39 +688,26 @@ mtx::CsrMatrix SpGemmExecutor::run_product(const SpGemmProblem& p,
     }
 
     const std::string key = op_cache_key(op);
-    if (values_only) {
-      if (Impl::EntryPtr entry = im.find_values_only(p, key)) {
-        {
-          const std::lock_guard<std::mutex> lock(im.mu);
-          ++im.stats.executes;
-          ++im.stats.cache_hits;
-          ++im.stats.value_only_hits;
-        }
-        mtx::CsrMatrix c = im.execute_entry(entry, p, info, &token, accumulate);
-        if (info != nullptr) {
-          info->cache_hit = true;
-          info->value_only = true;
-        }
-        return c;
-      }
-      // No structure on file for this op: fall through to the full path.
-    }
-
-    const pb::StructureFingerprint fp =
-        pb::StructureFingerprint::of(p.a_csc, p.b_csr);
-    Impl::EntryPtr entry = im.find(fp, key);
-    const bool hit = entry != nullptr;
-    if (!hit) {
-      entry = im.analyze(p, op, key, fp, {}, -1);
-      im.insert(entry);
-    }
+    // With no structure on file for this op the value-only path falls
+    // through to the full, fingerprinted one.
+    Impl::EntryPtr entry =
+        values_only ? im.find_values_only(p, key) : nullptr;
+    const bool value_only = entry != nullptr;
+    bool hit = value_only;
+    if (!value_only) entry = im.resolve(p, op, key, hit);
     {
       const std::lock_guard<std::mutex> lock(im.mu);
       ++im.stats.executes;
-      hit ? ++im.stats.cache_hits : ++im.stats.cache_misses;
+      if (value_only) {
+        ++im.stats.cache_hits;
+        ++im.stats.value_only_hits;
+      }
     }
     mtx::CsrMatrix c = im.execute_entry(entry, p, info, &token, accumulate);
-    if (info != nullptr) info->cache_hit = hit;
+    if (info != nullptr) {
+      info->cache_hit = hit;
+      info->value_only = value_only;
+    }
     return c;
   } catch (const CancelledError&) {
     im.count_cancelled();
@@ -730,11 +722,6 @@ mtx::CsrMatrix SpGemmExecutor::run(const SpGemmProblem& p, const SpGemmOp& op,
 
 mtx::CsrMatrix SpGemmExecutor::run(const SpGemmProblem& p, const SpGemmOp& op,
                                    const RunOptions& ropts, RunInfo* info) {
-  if (op.accumulate) {
-    throw std::logic_error(
-        "SpGemmExecutor::run: the op declared accumulate — pass the matrix "
-        "to accumulate into (run(problem, op, c))");
-  }
   return run_product(p, op, info, /*values_only=*/false, ropts);
 }
 
@@ -758,11 +745,6 @@ mtx::CsrMatrix SpGemmExecutor::run_values_updated(const SpGemmProblem& p,
                                                   const SpGemmOp& op,
                                                   const RunOptions& ropts,
                                                   RunInfo* info) {
-  if (op.accumulate) {
-    throw std::logic_error(
-        "SpGemmExecutor::run_values_updated: accumulating ops use "
-        "run(problem, op, c)");
-  }
   return run_product(p, op, info, /*values_only=*/true, ropts);
 }
 
@@ -777,170 +759,18 @@ void SpGemmExecutor::cancel() {
   old->request_cancel();
 }
 
-std::vector<mtx::CsrMatrix> SpGemmExecutor::run(const SpGemmProblem& p,
-                                                std::span<const SpGemmOp> ops) {
-  return run(p, ops, RunOptions{});
-}
-
-std::vector<mtx::CsrMatrix> SpGemmExecutor::run(const SpGemmProblem& p,
-                                                std::span<const SpGemmOp> ops,
-                                                const RunOptions& ropts) {
-  Impl& im = *impl_;
-  std::vector<mtx::CsrMatrix> results;
-  if (ops.empty()) return results;
-  results.reserve(ops.size());
-  {
-    const std::lock_guard<std::mutex> lock(im.mu);
-    ++im.stats.batches;
-  }
-  if (im.opts.validate_inputs) {
-    for (const SpGemmOp& op : ops) im.validate_problem(p, op);
-  }
-  CancelToken token;
-  std::shared_ptr<CancelToken> epoch_snapshot;
-  im.arm_token(token, ropts, epoch_snapshot);
-
-  // One analysis pass shared by every op that plans: the fingerprint's
-  // flop count always; the row-flop histogram and nnz estimate when any
-  // op runs "auto" selection (each op's mask terms still derive from the
-  // shared histogram).
-  bool any_planned = false;
-  bool any_auto = false;
-  for (const SpGemmOp& op : ops) {
-    if (op.accumulate) {
-      throw std::logic_error(
-          "SpGemmExecutor::run(problem, ops): batch results are products; "
-          "accumulate through the two-argument run");
-    }
-    check_post_op(op, op.accumulate);
-    if (!is_passthrough(op)) any_planned = true;
-    if (op.algo == "auto") any_auto = true;
-  }
-
-  pb::StructureFingerprint fp;
-  std::vector<nnz_t> row_flops;
-  nnz_t nnz_est = -1;
-  if (any_planned) {
-    fp = pb::StructureFingerprint::of(p.a_csc, p.b_csr);
-    if (any_auto) {
-      row_flops = pb::pb_row_flops(p.a_csc, p.b_csr);
-      nnz_est = pb::pb_estimate_nnz_c(row_flops, p.b_csr.ncols);
-    }
-  }
-
-  // Phase 1 (serial): resolve every descriptor to an executable entry —
-  // cache lookups, analyses and stats stay ordered, and every plan is in
-  // the cache before anything runs.  Passthrough ops resolve to a null
-  // entry and execute through run_passthrough below.
-  std::vector<Impl::EntryPtr> entries(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const SpGemmOp& op = ops[i];
-    if (is_passthrough(op)) continue;
-    const std::string key = op_cache_key(op);
-    Impl::EntryPtr entry = im.find(fp, key);
-    const bool hit = entry != nullptr;
-    if (!hit) {
-      entry = im.analyze(p, op, key, fp, row_flops, nnz_est);
-      im.insert(entry);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(im.mu);
-      ++im.stats.executes;
-      hit ? ++im.stats.cache_hits : ++im.stats.cache_misses;
-    }
-    entries[i] = std::move(entry);
-  }
-
-  // Phase 2: fan the executions out over the workspace pool — each worker
-  // leases its own PbWorkspace, so ops run fully concurrent (dyn-semiring
-  // ops still serialize on the process-global bridge).  Results land in
-  // op order; the first worker exception is rethrown after the join.
-  results.resize(ops.size());
-  auto execute_one = [&](std::size_t i) {
-    FaultInjector::at(FaultPoint::kBatchWorker);
-    results[i] = entries[i] != nullptr
-                     ? im.execute_entry(entries[i], p, nullptr, &token)
-                     : im.run_passthrough(p, ops[i], nullptr, &token);
-  };
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      std::min(ops.size(), im.opts.batch_concurrency == 0
-                               ? hw
-                               : im.opts.batch_concurrency);
-  if (workers <= 1) {
-    try {
-      for (std::size_t i = 0; i < ops.size(); ++i) execute_one(i);
-    } catch (const CancelledError&) {
-      im.count_cancelled();
-      throw;
-    }
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::thread> team;
-  team.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    team.emplace_back([&, w] {
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < ops.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        try {
-          execute_one(i);
-        } catch (...) {
-          errors[w] = std::current_exception();
-          // Drain the queue on any failure: sibling workers stop at
-          // their next poll instead of finishing doomed products.
-          token.request_cancel();
-          return;  // this worker stops; the rest drain the queue
-        }
-      }
-    });
-  }
-  for (std::thread& t : team) t.join();
-  // Rethrow the root-cause error; every lease has already returned (RAII
-  // inside execute_entry), so the pool and cache are consistent.  A
-  // failing worker cancels its siblings, so prefer an error that is NOT
-  // the induced CancelledError when one exists.
-  std::exception_ptr first;
-  std::exception_ptr root;
-  for (const std::exception_ptr& e : errors) {
-    if (!e) continue;
-    if (!first) first = e;
-    if (!root) {
-      try {
-        std::rethrow_exception(e);
-      } catch (const CancelledError&) {
-      } catch (...) {
-        root = e;
-      }
-    }
-  }
-  if (!root) root = first;
-  if (root) {
-    try {
-      std::rethrow_exception(root);
-    } catch (const CancelledError&) {
-      im.count_cancelled();
-      throw;
-    }
-  }
-  return results;
-}
-
 void SpGemmExecutor::prepare(const SpGemmProblem& p, const SpGemmOp& op,
                              RunInfo* info) {
   Impl& im = *impl_;
-  check_post_op(op, op.accumulate);
+  check_post_op(op, nullptr);
   if (im.opts.validate_inputs) im.validate_problem(p, op);
   if (is_passthrough(op)) {
     mask_of(op).check_shape(p.result_rows(), p.result_cols(),
                             "SpGemmExecutor");
     Timer timer;
     (void)im.passthrough_fn(op, op_cache_key(op));  // throws on bad pairs
-    // Fixed baseline plans still report the problem's flop (the analysis
-    // SpGemmPlan has always exposed), they just never re-verify it.
+    // Fixed baseline plans still report the problem's flop, they just
+    // never re-verify it.
     const pb::StructureFingerprint fp =
         pb::StructureFingerprint::of(p.a_csc, p.b_csr);
     if (info != nullptr) {
@@ -952,20 +782,8 @@ void SpGemmExecutor::prepare(const SpGemmProblem& p, const SpGemmOp& op,
     }
     return;
   }
-  const std::string key = op_cache_key(op);
-  const pb::StructureFingerprint fp =
-      pb::StructureFingerprint::of(p.a_csc, p.b_csr);
-  Impl::EntryPtr entry = im.find(fp, key);
-  const bool hit = entry != nullptr;
-  if (!hit) {
-    entry = im.analyze(p, op, key, fp, {}, -1);
-    im.insert(entry);
-    const std::lock_guard<std::mutex> lock(im.mu);
-    ++im.stats.cache_misses;
-  } else {
-    const std::lock_guard<std::mutex> lock(im.mu);
-    ++im.stats.cache_hits;
-  }
+  bool hit = false;
+  const Impl::EntryPtr entry = im.resolve(p, op, op_cache_key(op), hit);
   if (info != nullptr) {
     *info = RunInfo{};
     Impl::fill_info(*info, *entry);

@@ -1,28 +1,24 @@
-// SpGemmExecutor — the long-lived serving layer over the plan/execute
-// machinery.
+// SpGemmExecutor — the one public compute surface: every multiply in the
+// library (plain, masked, accumulating, value-only, custom-semiring) is a
+// run() of an SpGemmOp (spgemm/op.hpp) against an SpGemmProblem.
 //
-// SpGemmPlan answers "multiply this one structure many times"; iterative
-// and serving workloads need more: MCL alternates between a few pruned
-// shapes (a single plan replans on every flip), AMG walks two triple-
-// product sites down a level hierarchy, batched masked BFS/BC frontiers
-// run several descriptors against one analysis, and a service multiplies
-// through one hot plan from many threads at once.  The executor owns all
-// four patterns:
+// Iterative and serving workloads multiply the same few structures many
+// times: MCL alternates between a few pruned shapes, AMG walks two
+// triple-product sites down a level hierarchy, and a service multiplies
+// through one hot plan from many threads at once.  The executor owns
+// these patterns:
 //
 //   PlanCache      — an LRU of cached plans keyed by StructureFingerprint
 //                    × op identity.  Workloads alternating between a few
 //                    structures pay the O(ncols)/O(nnz) analysis once per
 //                    structure instead of once per flip; the per-execute
 //                    cost of a hit is the O(ncols) fingerprint pass.
+//                    prepare() analyzes and caches without executing.
 //   value-only     — run_values_updated(): when the caller knows only the
 //                    operands' *values* changed since the previous run of
 //                    this op (same structure), the executor matches the
 //                    cached plan on dims+nnz alone and replays just the
 //                    numeric stages — no flop recount, no symbolic.
-//   batched ops    — run(problem, span<SpGemmOp>) plans every descriptor
-//                    from ONE analysis pass (fingerprint flop, row-flop
-//                    histogram, nnz estimate) and selects each op's
-//                    algorithm from it.
 //   concurrency    — run() is thread-safe: the cache is mutex-guarded,
 //                    each in-flight execution leases its own PbWorkspace
 //                    from a WorkspacePool, and cached plans are shared
@@ -41,14 +37,18 @@
 // model's derating constants from them (SelectionModel::calibrate), so
 // long-running services converge onto this machine's measured crossover.
 //
-// SpGemmPlan (spgemm/plan.hpp) survives as a thin single-entry view over
-// one private executor, so existing callers keep their API and gain the
-// structure cache transparently.
+//   SpGemmExecutor exec;
+//   SpGemmOp op;                         // algo = "auto" by default
+//   op.semiring = "min_plus";            // built-in or runtime-registered
+//   op.mask = &m;                        // optional fused output mask
+//   RunInfo info;
+//   exec.prepare(problem, op, &info);    // optional: analyze up front
+//   for (...) c = exec.run(problem, op, &info);   // info.algo, pb_stats
+//   c = exec.run(problem, op, c);        // c ⊞= A ⊗ B (semiring add)
 #pragma once
 
 #include <chrono>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -88,19 +88,6 @@ struct ExecutorOptions {
   /// calibrated constants; already-cached choices are kept.
   std::size_t calibrate_after = 0;
 
-  /// Telemetry ring capacity: the most recent samples kept for
-  /// calibrate()/samples().
-  std::size_t max_samples = 512;
-
-  /// Worker threads the batched run(problem, ops) fans executions out
-  /// over after its shared (serial) analysis pass.  0 = auto:
-  /// min(#ops, hardware threads).  1 = serial (the pre-fan-out
-  /// behavior).  Each worker leases its own PbWorkspace from the pool
-  /// and runs its op's full execution; results land in op order
-  /// regardless.  Ops over runtime-registered semirings still serialize
-  /// on the process-global DynSemiring bridge.
-  std::size_t batch_concurrency = 0;
-
   /// Byte cap on the pooled workspace memory (tuple streams + sort
   /// scratch) across ALL concurrent leases; 0 = unlimited.  A plan whose
   /// PB stream cannot fit degrades to the row-wise fallback at plan time;
@@ -137,7 +124,6 @@ struct ExecutorStats {
   std::uint64_t cache_entries = 0;  ///< plans currently cached
   std::uint64_t cache_bytes = 0;    ///< estimated bytes they occupy
   std::uint64_t bytes_evicted = 0;  ///< cumulative bytes reclaimed
-  std::uint64_t batches = 0;      ///< run(problem, ops) calls
   std::uint64_t calibrations = 0; ///< automatic warmup refits performed
   std::uint64_t degraded_plans = 0;  ///< pb plans downgraded at plan time
   std::uint64_t degraded_runs = 0;   ///< runs that fell back mid-flight
@@ -183,10 +169,8 @@ class SpGemmExecutor {
 
   /// Multiplies p under op, through the cached plan for (structure, op)
   /// when one exists (building and caching it otherwise).  Thread-safe.
-  /// Throws like make_plan for unknown algorithms/semirings, unsupported
-  /// pairs, or a mask whose shape does not match the product; throws
-  /// std::logic_error when op.accumulate is set (use the accumulating
-  /// overload).
+  /// Throws std::invalid_argument for unknown algorithms/semirings,
+  /// unsupported pairs, or a mask whose shape does not match the product.
   mtx::CsrMatrix run(const SpGemmProblem& p, const SpGemmOp& op = {},
                      RunInfo* info = nullptr);
 
@@ -207,24 +191,6 @@ class SpGemmExecutor {
   mtx::CsrMatrix run(const SpGemmProblem& p, const SpGemmOp& op,
                      const mtx::CsrMatrix& accumulate_into,
                      RunInfo* info = nullptr);
-
-  /// Batched descriptor execution: every op multiplied against p, sharing
-  /// ONE analysis pass — the fingerprint's flop count, the row-flop
-  /// histogram and the nnz(C) estimate are computed once and every op's
-  /// selection (mask-aware per op) and symbolic build draw on them.  The
-  /// executions then fan out over ExecutorOptions::batch_concurrency
-  /// worker threads, each leasing its own PbWorkspace from the pool.
-  /// Results are returned in op order; each (structure, op) plan lands in
-  /// the cache, so subsequent single runs hit.  Accumulating descriptors
-  /// are rejected here (std::logic_error) — batch results are products.
-  std::vector<mtx::CsrMatrix> run(const SpGemmProblem& p,
-                                  std::span<const SpGemmOp> ops);
-
-  /// Batched run under deadline/cancellation: the first stopped or failed
-  /// worker's error propagates after every in-flight op unwinds.
-  std::vector<mtx::CsrMatrix> run(const SpGemmProblem& p,
-                                  std::span<const SpGemmOp> ops,
-                                  const RunOptions& ropts);
 
   /// Value-only fast path: the caller asserts p's operands have the SAME
   /// STRUCTURE as the most recent run of this op and only the numeric
@@ -256,7 +222,7 @@ class SpGemmExecutor {
 
   /// Analyzes and caches the plan for (p, op) without executing — warms
   /// the cache, validates the op (same throws as run), and reports the
-  /// selection through `info`.  make_plan primes its plan this way.
+  /// selection through `info`.  A following run of (p, op) is a hit.
   void prepare(const SpGemmProblem& p, const SpGemmOp& op = {},
                RunInfo* info = nullptr);
 
@@ -265,13 +231,13 @@ class SpGemmExecutor {
   /// Lease bookkeeping of the workspace pool (created vs reused).
   [[nodiscard]] pb::WorkspacePool::Stats pool_stats() const;
 
-  /// Aggregated allocator counters of the pooled workspaces — the
-  /// executor analogue of SpGemmPlan::workspace_stats().  Quiescent
-  /// callers only (counters are written lock-free by in-flight runs).
+  /// Aggregated allocator counters of the pooled workspaces (steady state
+  /// shows reuses growing, allocations not).  Quiescent callers only
+  /// (counters are written lock-free by in-flight runs).
   [[nodiscard]] pb::PbWorkspace::Stats workspace_stats() const;
 
-  /// The recorded predicted-vs-achieved samples (most recent
-  /// ExecutorOptions::max_samples), oldest first.
+  /// The recorded predicted-vs-achieved samples (the most recent 512),
+  /// oldest first.
   [[nodiscard]] std::vector<model::PerfSample> samples() const;
 
   /// The selection model future analyses will use: per-op tunables with

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
 #include "common/parallel.hpp"
 #include "spgemm/assemble.hpp"
 #include "spgemm/masked.hpp"
@@ -99,8 +100,9 @@ mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p,
   const mtx::CsrMatrix& b = p.b_csr;
   mask.check_shape(a.nrows, b.ncols, "heap_spgemm_semiring");
 
-  // Thread-private scratch reused across that thread's rows.
-  struct Scratch {
+  // Thread-private scratch reused across that thread's rows, padded to
+  // whole cache lines so neighbouring threads' slots never share one.
+  struct alignas(kCacheLineBytes) Scratch {
     explicit Scratch(const pb::MaskSpec& m) : mask(m) {}
     std::vector<Run> runs;
     RunHeap heap;

@@ -18,8 +18,8 @@
 // The PB pipeline fuses the same MaskSpec at its expand or compress stage
 // (pb/plan.hpp).  The preferred way to run a masked multiplication is the
 // operation descriptor (spgemm/op.hpp): set SpGemmOp::mask/complement and
-// go through make_plan — selection then accounts for the mask's density.
-// spgemm_masked (spgemm/plan.hpp) is a thin shim over that path.
+// run it through SpGemmExecutor — selection then accounts for the mask's
+// density.
 #pragma once
 
 #include <vector>

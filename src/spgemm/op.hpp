@@ -16,23 +16,24 @@
 //                   the PB pipeline drops masked-out tuples at expand or
 //                   compress, before CSR conversion; esc, hashvec and
 //                   reference filter their full product
-//   accumulate    — GraphBLAS-style C ⊞= A ⊗ B: execute(problem, c)
-//                   combines the product into an existing matrix with the
-//                   semiring's add over the union pattern
+//   post_op       — scale / prune / top-k applied to the product, fused
+//                   into the kernels
 //   algo          — "auto" (roofline-guided, mask-density-aware) or a
 //                   concrete registry algorithm
 //
 // so every variant — plain, masked, accumulating, custom-semiring — flows
-// through the same plan/execute machinery:
+// through the same executor (spgemm/executor.hpp):
 //
 //   SpGemmOp op;                       // algo = "auto" by default
 //   op.semiring = "min_plus";
 //   op.mask = &m;                      // optional; op.complement flips it
-//   SpGemmPlan plan = make_plan(problem, op);   // spgemm/plan.hpp
-//   auto c = plan.execute(problem);
+//   SpGemmExecutor exec;
+//   auto c = exec.run(problem, op);
+//   c = exec.run(problem, op, c);      // GraphBLAS-style C ⊞= A ⊗ B
 //
-// The pre-descriptor entry points (`semiring_algorithm`, `spgemm_masked`,
-// `PlanOptions`) survive as thin shims over this path.
+// Accumulation is not a field of the op: the run(problem, op, c) overload
+// takes the target and combines the product into it with the semiring's
+// add over the union pattern.
 #pragma once
 
 #include <functional>
@@ -70,10 +71,11 @@ struct RuntimeSemiring {
 
 /// Process-wide name -> semiring table.  Pre-seeded with the built-in
 /// four; `register_semiring` adds user semirings, after which every
-/// name-keyed entry point in the library (make_plan, semiring_algorithm,
-/// pbs_cli --semiring) accepts the new name.  Registration is guarded by a
-/// mutex; registered semirings are never removed, so the pointers and
-/// references handed out stay valid for the process lifetime.
+/// name-keyed entry point in the library (SpGemmExecutor::run,
+/// semiring_algorithm, pbs_cli --semiring) accepts the new name.
+/// Registration is guarded by a mutex; registered semirings are never
+/// removed, so the pointers and references handed out stay valid for the
+/// process lifetime.
 class SemiringRegistry {
  public:
   static SemiringRegistry& instance();
@@ -174,8 +176,7 @@ decltype(auto) dispatch_semiring_any(const std::string& name, Fn&& fn) {
 }
 
 /// The operation descriptor: everything that defines one SpGEMM variant.
-/// `make_plan(problem, op)` (spgemm/plan.hpp) is the one entry point; the
-/// legacy PlanOptions name is an alias of this struct.
+/// `SpGemmExecutor::run(problem, op)` (spgemm/executor.hpp) executes it.
 struct SpGemmOp {
   /// "auto" (roofline-guided selection, mask-density-aware when a mask is
   /// set) or any registry algorithm name; unknown names and unsupported
@@ -186,26 +187,20 @@ struct SpGemmOp {
   std::string semiring = PlusTimes::name;
 
   /// Output mask: C is restricted to mask's pattern (values ignored).
-  /// Non-owning — must outlive the plan.  Shape must match the product
-  /// (checked at plan time).  nullptr = unmasked.
+  /// Non-owning — must outlive every run of the op.  Shape must match the
+  /// product (checked at plan time).  nullptr = unmasked.
   const mtx::CsrMatrix* mask = nullptr;
 
   /// With a mask set: keep the positions NOT in the mask's pattern
   /// (GraphBLAS complemented mask).
   bool complement = false;
 
-  /// Declares the op accumulating: execute(problem, c) combines the
-  /// product into c with the semiring's add; the single-argument
-  /// execute(problem) then throws std::logic_error (the descriptor
-  /// promised an accumulation target).
-  bool accumulate = false;
-
   /// Elementwise post-op (scale / prune / top-k, common/post_op.hpp)
   /// applied to the product before it is returned — fused into the
   /// kernels, so a pruning op never materializes the unpruned C.  Applies
   /// after the mask; rejected at plan time for value-free semirings
-  /// (there are no values to scale or compare) and in combination with
-  /// accumulate (prune/top-k over a merged C is ambiguous).
+  /// (there are no values to scale or compare) and by the accumulating
+  /// run (prune/top-k over a merged C is ambiguous).
   PostOp post_op;
 
   /// Configuration for the PB pipeline when it is (or may be) chosen.

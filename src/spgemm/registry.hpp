@@ -61,8 +61,8 @@ const AlgoInfo* find_algorithm(const std::string& name) noexcept;
 /// (algorithm, semiring) combination when the algorithm is unknown, the
 /// semiring is unknown, or the pair is unsupported — callers never
 /// silently fall back to a different algorithm or semiring.  This is the
-/// kernel-resolution layer the descriptor path (make_plan + SpGemmOp)
-/// runs on; calling it directly is the non-planning shim.
+/// kernel-resolution layer SpGemmExecutor runs every SpGemmOp on; calling
+/// it directly resolves one call, with no analysis and no plan cache.
 SpGemmFn masked_semiring_algorithm(const std::string& algo,
                                    const std::string& semiring,
                                    const mtx::CsrMatrix* mask,
@@ -79,20 +79,5 @@ std::string algorithm_semiring_matrix();
 
 /// The four algorithms the paper's figures compare.
 std::vector<AlgoInfo> paper_comparison_set();
-
-// ---- plan-returning dispatch ---------------------------------------------
-//
-// masked_semiring_algorithm resolves one call; make_plan resolves a *traffic
-// pattern*: it analyzes the problem once (flop, estimated compression
-// factor, roofline-guided selection when the op's algo is "auto" — mask-
-// density-aware when the op carries a mask — PB symbolic bin layout when
-// the choice lands on pb) and returns a reusable SpGemmPlan whose
-// execute() skips re-analysis and re-allocation while the operand
-// structure is unchanged.  The descriptor SpGemmOp (spgemm/op.hpp)
-// composes semiring × mask × accumulation × algo hint; full API and
-// defaults live in spgemm/plan.hpp.
-class SpGemmPlan;
-struct SpGemmOp;
-SpGemmPlan make_plan(const SpGemmProblem& p, SpGemmOp op);
 
 }  // namespace pbs

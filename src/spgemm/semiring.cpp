@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
 #include "common/parallel.hpp"
 #include "spgemm/assemble.hpp"
 #include "spgemm/masked.hpp"
@@ -25,8 +26,10 @@ mtx::CsrMatrix spgemm_semiring(const mtx::CsrMatrix& a,
   // SPA-style dense accumulator with stamp-based clearing; the semiring
   // only changes the combine step.  A masked-out product never reaches the
   // accumulator, so a masked row touches only O(nnz(mask(r,:))) slots, and
-  // exact cancellation to S::zero() stays structural either way.
-  struct Scratch {
+  // exact cancellation to S::zero() stays structural either way.  Each
+  // thread's scratch owns whole cache lines: its vector headers are
+  // written on every row, so neighbours must not share a line.
+  struct alignas(kCacheLineBytes) Scratch {
     explicit Scratch(const pb::MaskSpec& m) : mask(m) {}
     std::vector<value_t> dense;
     std::vector<index_t> stamp;

@@ -1,8 +1,7 @@
 // Executor layer: fingerprint-keyed plan cache (LRU hits/evictions),
-// value-only re-execution, batched descriptors over one analysis pass,
-// workspace-pooled concurrent serving, the calibration telemetry loop,
-// the structural-only masked nnz estimate, and PartitionedPlan's
-// value-only slice refresh.
+// prepare-then-run, value-only re-execution, workspace-pooled concurrent
+// serving, the calibration telemetry loop, and the structural-only masked
+// nnz estimate.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -12,11 +11,10 @@
 #include "common/parallel.hpp"
 #include "matrix/ops.hpp"
 #include "model/selection.hpp"
-#include "pb/partitioned.hpp"
 #include "pb/symbolic.hpp"
 #include "pb/workspace_pool.hpp"
 #include "spgemm/executor.hpp"
-#include "spgemm/plan.hpp"
+#include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
 
@@ -102,8 +100,6 @@ TEST(Executor, AccumulatingRunCombinesWithTheSemiringAdd) {
   SpGemmExecutor exec;
   SpGemmOp op;
   op.algo = "pb";
-  op.accumulate = true;
-  EXPECT_THROW((void)exec.run(p, op), std::logic_error);
   const mtx::CsrMatrix c = exec.run(p, op, c0);
   EXPECT_TRUE(mtx::equal_exact(c, mtx::add(c0, reference_spgemm(p))));
 }
@@ -301,44 +297,6 @@ TEST(Executor, ValueOnlyRunSkipsAnalysisAndStaysCorrect) {
   EXPECT_TRUE(mtx::equal_exact(co, reference_spgemm(other)));
 }
 
-// ---- batched descriptors --------------------------------------------------
-
-TEST(Executor, BatchRunsEveryDescriptorOffOneAnalysisPass) {
-  const mtx::CsrMatrix a = testutil::exact_er(250, 250, 5.0, 58);
-  const mtx::CsrMatrix mask = testutil::exact_er(250, 250, 2.0, 59);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-
-  std::vector<SpGemmOp> ops(3);
-  ops[0].algo = "auto";
-  ops[1].algo = "auto";
-  ops[1].semiring = MinPlus::name;
-  ops[2].algo = "pb";
-  ops[2].mask = &mask;
-
-  SpGemmExecutor exec;
-  const std::vector<mtx::CsrMatrix> rs = exec.run(p, ops);
-  ASSERT_EQ(rs.size(), 3u);
-  EXPECT_TRUE(mtx::equal_exact(rs[0], reference_spgemm(p)));
-  EXPECT_TRUE(
-      mtx::equal_exact(rs[1], reference_spgemm_semiring<MinPlus>(p)));
-  EXPECT_TRUE(mtx::equal_exact(
-      rs[2], mtx::pattern_filter(reference_spgemm(p), mask, false)));
-
-  const ExecutorStats s = exec.stats();
-  EXPECT_EQ(s.batches, 1u);
-  EXPECT_EQ(s.cache_misses, 3u);
-  // Every batch plan landed in the cache: single runs now hit.
-  RunInfo info;
-  (void)exec.run(p, ops[0], &info);
-  EXPECT_TRUE(info.cache_hit);
-
-  SpGemmOp acc;
-  acc.accumulate = true;
-  const std::vector<SpGemmOp> bad{acc};
-  EXPECT_THROW((void)exec.run(p, std::span<const SpGemmOp>(bad)),
-               std::logic_error);
-}
-
 TEST(Executor, SameAggregateStructuresGetDistinctCacheEntries) {
   // Regression for the fingerprint's structural hash: two permutation
   // matrices share dims, nnz and flop(P²) — every aggregate the
@@ -370,10 +328,13 @@ TEST(Executor, SameAggregateStructuresGetDistinctCacheEntries) {
   EXPECT_EQ(s.cache_hits, 0u);
 }
 
-TEST(ExecutorConcurrency, BatchFanOutMatchesSerialAtEveryConcurrency) {
-  // The batched run's phase-2 fan-out (worker threads over the workspace
-  // pool) must be a pure scheduling change: op-order results identical to
-  // the serial batch, for a mix of semirings and masks.
+// ---- concurrent serving ---------------------------------------------------
+
+TEST(ExecutorConcurrency, MixedSemiringsAndMasksFromCallerThreadsMatchSerial) {
+  // Caller threads multiplying different descriptors (semirings, mask
+  // polarities, auto) through one executor at once: each run leases its
+  // own workspace, so the results must equal a serial executor's, and
+  // once every op is prepared no race re-analyzes.
   const mtx::CsrMatrix a = testutil::exact_er(220, 220, 5.0, 91);
   const mtx::CsrMatrix mask = testutil::exact_er(220, 220, 2.0, 92);
   const SpGemmProblem p = SpGemmProblem::square(a);
@@ -389,33 +350,46 @@ TEST(ExecutorConcurrency, BatchFanOutMatchesSerialAtEveryConcurrency) {
   ops[3].complement = true;
   ops[4].algo = "auto";
 
-  ExecutorOptions serial_opts;
-  serial_opts.batch_concurrency = 1;
-  SpGemmExecutor serial(serial_opts);
-  const std::vector<mtx::CsrMatrix> want = serial.run(p, ops);
+  SpGemmExecutor serial;
+  std::vector<mtx::CsrMatrix> want;
+  for (const SpGemmOp& op : ops) want.push_back(serial.run(p, op));
 
-  for (const std::size_t conc : {std::size_t{0}, std::size_t{2},
-                                 std::size_t{4}}) {
-    ExecutorOptions o;
-    o.batch_concurrency = conc;
-    SpGemmExecutor exec(o);
-    for (int round = 0; round < 3; ++round) {
-      const std::vector<mtx::CsrMatrix> got = exec.run(p, ops);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_TRUE(mtx::equal_exact(got[i], want[i]))
-            << "concurrency " << conc << ", round " << round << ", op " << i;
+  SpGemmExecutor exec;
+  for (const SpGemmOp& op : ops) exec.prepare(p, op);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<mtx::CsrMatrix>> got(
+      kThreads, std::vector<mtx::CsrMatrix>(ops.size()));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      set_threads(1);
+      for (int round = 0; round < kRounds; ++round) {
+        // Each thread walks the ops from a different start, so different
+        // descriptors overlap in time.
+        for (std::size_t k = 0; k < ops.size(); ++k) {
+          const std::size_t i = (k + static_cast<std::size_t>(t)) % ops.size();
+          got[static_cast<std::size_t>(t)][i] = exec.run(p, ops[i]);
+        }
       }
-    }
-    const ExecutorStats s = exec.stats();
-    EXPECT_EQ(s.batches, 3u);
-    // Rounds 2 and 3 served every op from the cache.
-    EXPECT_EQ(s.cache_misses, static_cast<std::uint64_t>(ops.size()));
-    EXPECT_GE(s.cache_hits, 2u * ops.size());
+    });
   }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      EXPECT_TRUE(
+          mtx::equal_exact(got[static_cast<std::size_t>(t)][i], want[i]))
+          << "thread " << t << ", op " << i;
+    }
+  }
+  const ExecutorStats s = exec.stats();
+  const auto runs = static_cast<std::uint64_t>(kThreads * kRounds) * ops.size();
+  EXPECT_EQ(s.executes, runs);
+  EXPECT_EQ(s.cache_misses, static_cast<std::uint64_t>(ops.size()));
+  EXPECT_EQ(s.cache_hits, runs);
+  EXPECT_EQ(exec.pool_stats().in_flight, 0u);
 }
-
-// ---- concurrent serving ---------------------------------------------------
 
 TEST(ExecutorConcurrency, FourThreadsThroughOneCachedPlan) {
   const mtx::CsrMatrix base = testutil::exact_er(250, 250, 5.0, 60);
@@ -583,70 +557,59 @@ TEST(MaskedEstimate, PerRowCapSharpensTheGlobalBound) {
                std::invalid_argument);
 }
 
-// ---- PartitionedPlan value-only refresh -----------------------------------
+// ---- prepare, then run ------------------------------------------------------
 
-TEST(PartitionedPlanTest, UpdateAValuesRefreshesFrozenSlices) {
-  const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 67);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  pb::PartitionedPlan plan = pb::make_partitioned_plan(p.a_csc, p.b_csr, 3);
-  EXPECT_TRUE(
-      mtx::equal_exact(plan.execute(p.b_csr).c, reference_spgemm(p)));
-
-  // Same structure, new values: refresh the frozen slices and multiply
-  // against the updated B — no re-slice, no re-analysis.
-  const mtx::CsrMatrix a2 = scale_values(a, 3.0);
-  const SpGemmProblem p2 = SpGemmProblem::square(a2);
-  plan.update_a_values(p2.a_csc);
-  EXPECT_TRUE(
-      mtx::equal_exact(plan.execute(p2.b_csr).c, reference_spgemm(p2)));
-
-  // Structure drift is detected during the copy pass.
-  const mtx::CsrMatrix other = testutil::exact_er(300, 300, 5.0, 68);
-  const SpGemmProblem po = SpGemmProblem::square(other);
-  EXPECT_THROW(plan.update_a_values(po.a_csc), std::invalid_argument);
-  const mtx::CsrMatrix small = testutil::exact_er(100, 100, 4.0, 69);
-  const SpGemmProblem psm = SpGemmProblem::square(small);
-  EXPECT_THROW(plan.update_a_values(psm.a_csc), std::invalid_argument);
-}
-
-// ---- SpGemmPlan as the single-entry executor view -------------------------
-
-TEST(SpGemmPlanTest, AlternatingStructuresReuseCachedAnalyses) {
+TEST(ExecutorPlan, PrepareThenRunMissesOnceThenHits) {
   const mtx::CsrMatrix big = testutil::exact_er(300, 300, 6.0, 70);
   const mtx::CsrMatrix small = testutil::exact_er(120, 120, 4.0, 71);
   const SpGemmProblem pb_ = SpGemmProblem::square(big);
   const SpGemmProblem ps = SpGemmProblem::square(small);
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(pb_, opts);
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(pb_), reference_spgemm(pb_)));
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(ps), reference_spgemm(ps)));
-  // Flipping BACK is an analysis reuse now, not a replan — the executor
-  // cache still holds the first structure's plan.
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(pb_), reference_spgemm(pb_)));
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(ps), reference_spgemm(ps)));
-  const PlanTelemetry& tm = plan.telemetry();
-  EXPECT_EQ(tm.executes, 4u);
-  EXPECT_EQ(tm.replans, 1u);  // only the small structure was ever new
-  EXPECT_EQ(tm.analysis_reuses, 3u);
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "pb";
+  RunInfo info;
+  exec.prepare(pb_, op, &info);  // the one analysis of this structure
+  EXPECT_FALSE(info.cache_hit);
+  EXPECT_EQ(info.algo, "pb");
+  EXPECT_GT(info.flop, 0);
+  EXPECT_GT(info.plan_seconds, 0.0);
+  EXPECT_TRUE(
+      mtx::equal_exact(exec.run(pb_, op, &info), reference_spgemm(pb_)));
+  EXPECT_TRUE(info.cache_hit);
+  EXPECT_TRUE(mtx::equal_exact(exec.run(ps, op, &info), reference_spgemm(ps)));
+  EXPECT_FALSE(info.cache_hit);  // only the small structure was ever new
+  // Flipping BACK is a hit: the cache still holds the first structure.
+  EXPECT_TRUE(
+      mtx::equal_exact(exec.run(pb_, op, &info), reference_spgemm(pb_)));
+  EXPECT_TRUE(info.cache_hit);
+  EXPECT_TRUE(mtx::equal_exact(exec.run(ps, op, &info), reference_spgemm(ps)));
+  EXPECT_TRUE(info.cache_hit);
+  const ExecutorStats s = exec.stats();
+  EXPECT_EQ(s.executes, 4u);  // prepare analyzes but does not execute
+  EXPECT_EQ(s.cache_misses, 2u);
+  EXPECT_EQ(s.cache_hits, 3u);
 }
 
-TEST(SpGemmPlanTest, ExecuteValuesUpdatedReplaysNumericStagesOnly) {
+TEST(ExecutorPlan, RunValuesUpdatedAfterPrepareReplaysNumericStagesOnly) {
   const mtx::CsrMatrix a = testutil::exact_er(250, 250, 5.0, 72);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(p, opts);
-  (void)plan.execute(p);
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "pb";
+  exec.prepare(p, op);
 
   const mtx::CsrMatrix a2 = scale_values(a, 2.0);
   const SpGemmProblem p2 = SpGemmProblem::square(a2);
-  const mtx::CsrMatrix c = plan.execute_values_updated(p2);
+  RunInfo info;
+  const mtx::CsrMatrix c = exec.run_values_updated(p2, op, &info);
   EXPECT_TRUE(mtx::equal_exact(c, reference_spgemm(p2)));
-  const PlanTelemetry& tm = plan.telemetry();
-  EXPECT_EQ(tm.executes, 2u);
-  EXPECT_EQ(tm.replans, 0u);
-  EXPECT_EQ(tm.analysis_reuses, 2u);  // the value-only run counts as reuse
+  EXPECT_TRUE(info.value_only);
+  EXPECT_TRUE(info.cache_hit);
+  EXPECT_EQ(info.pb_stats.symbolic.seconds, 0.0);
+  const ExecutorStats s = exec.stats();
+  EXPECT_EQ(s.executes, 1u);
+  EXPECT_EQ(s.cache_misses, 1u);  // the prepare
+  EXPECT_EQ(s.value_only_hits, 1u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "matrix/ops.hpp"
-#include "spgemm/plan.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
@@ -12,6 +12,13 @@ namespace pbs {
 namespace {
 
 using testutil::from_triplets;
+
+// The masked SPA kernel: C = (A · B) .* pattern(mask), or its complement.
+mtx::CsrMatrix masked_spa(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
+                          const mtx::CsrMatrix& mask,
+                          bool complement = false) {
+  return spgemm_semiring<PlusTimes>(a, b, {&mask, complement});
+}
 
 // Oracle: full product then Hadamard with the mask pattern.
 mtx::CsrMatrix oracle(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
@@ -24,14 +31,14 @@ mtx::CsrMatrix oracle(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
 TEST(Masked, MatchesUnmaskedProductOnFullMask) {
   const mtx::CsrMatrix a = testutil::exact_er(100, 100, 4.0, 71);
   const mtx::CsrMatrix full = reference_spgemm(SpGemmProblem::square(a));
-  EXPECT_TRUE(equal_exact(spgemm_masked(a, a, mtx::to_pattern(full)), full));
+  EXPECT_TRUE(equal_exact(masked_spa(a, a, mtx::to_pattern(full)), full));
 }
 
 TEST(Masked, KnownSmallCase) {
   // Product is dense 2x2; mask keeps only (0,1) and (1,0).
   const auto a = from_triplets(2, 2, {{0, 0, 1.}, {0, 1, 2.}, {1, 0, 3.}, {1, 1, 4.}});
   const auto mask = from_triplets(2, 2, {{0, 1, 1.0}, {1, 0, 1.0}});
-  const mtx::CsrMatrix c = spgemm_masked(a, a, mask);
+  const mtx::CsrMatrix c = masked_spa(a, a, mask);
   EXPECT_EQ(c.nnz(), 2);
   EXPECT_EQ(c.vals[0], 10.0);  // (0,1): 1*2 + 2*4
   EXPECT_EQ(c.vals[1], 15.0);  // (1,0): 3*1 + 4*3
@@ -40,7 +47,7 @@ TEST(Masked, KnownSmallCase) {
 TEST(Masked, EmptyMaskGivesEmptyResult) {
   const mtx::CsrMatrix a = testutil::exact_er(64, 64, 4.0, 72);
   mtx::CooMatrix empty(64, 64);
-  const mtx::CsrMatrix c = spgemm_masked(a, a, mtx::coo_to_csr(empty));
+  const mtx::CsrMatrix c = masked_spa(a, a, mtx::coo_to_csr(empty));
   EXPECT_EQ(c.nnz(), 0);
   EXPECT_TRUE(c.valid());
 }
@@ -51,7 +58,7 @@ TEST(Masked, MaskPositionsWithZeroProductAreDropped) {
   const auto a = from_triplets(4, 4, {{0, 0, 1.0}});
   const auto b = from_triplets(4, 4, {{0, 1, 1.0}});
   const auto mask = from_triplets(4, 4, {{0, 1, 1.0}, {0, 3, 1.0}});
-  const mtx::CsrMatrix c = spgemm_masked(a, b, mask);
+  const mtx::CsrMatrix c = masked_spa(a, b, mask);
   EXPECT_EQ(c.nnz(), 1);
   EXPECT_EQ(c.colids[0], 1);
 }
@@ -59,9 +66,9 @@ TEST(Masked, MaskPositionsWithZeroProductAreDropped) {
 TEST(Masked, MaskValuesAreIgnored) {
   const mtx::CsrMatrix a = testutil::exact_er(80, 80, 4.0, 73);
   mtx::CsrMatrix mask = testutil::exact_er(80, 80, 6.0, 74);
-  const mtx::CsrMatrix c1 = spgemm_masked(a, a, mask);
+  const mtx::CsrMatrix c1 = masked_spa(a, a, mask);
   for (auto& v : mask.vals) v *= -17.5;  // scale mask values arbitrarily
-  const mtx::CsrMatrix c2 = spgemm_masked(a, a, mask);
+  const mtx::CsrMatrix c2 = masked_spa(a, a, mask);
   EXPECT_TRUE(equal_exact(c1, c2));
 }
 
@@ -72,7 +79,7 @@ TEST_P(MaskedRandom, MatchesHadamardOracle) {
   const mtx::CsrMatrix a = testutil::exact_er(150, 150, 5.0, seed);
   const mtx::CsrMatrix b = testutil::exact_er(150, 150, 5.0, seed + 10);
   const mtx::CsrMatrix mask = testutil::exact_er(150, 150, 8.0, seed + 20);
-  EXPECT_TRUE(equal_exact(spgemm_masked(a, b, mask), oracle(a, b, mask)));
+  EXPECT_TRUE(equal_exact(masked_spa(a, b, mask), oracle(a, b, mask)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaskedRandom, ::testing::Values(1, 2, 3, 4));
@@ -82,7 +89,7 @@ TEST(Masked, TriangleCountingEquivalence) {
   const mtx::CsrMatrix adj =
       mtx::symmetrize(testutil::exact_er(200, 200, 6.0, 75));
   const mtx::CsrMatrix lower = mtx::to_pattern(mtx::tril(adj));
-  const value_t via_masked = mtx::value_sum(spgemm_masked(lower, lower, lower));
+  const value_t via_masked = mtx::value_sum(masked_spa(lower, lower, lower));
   const mtx::CsrMatrix full = algorithm("pb").fn(SpGemmProblem::square(lower));
   const value_t via_hadamard = mtx::value_sum(mtx::hadamard(full, lower));
   EXPECT_DOUBLE_EQ(via_masked, via_hadamard);
@@ -91,15 +98,15 @@ TEST(Masked, TriangleCountingEquivalence) {
 TEST(Masked, ShapeMismatchThrows) {
   const mtx::CsrMatrix a = testutil::exact_er(10, 10, 2.0, 76);
   const mtx::CsrMatrix bad_mask = testutil::exact_er(10, 11, 2.0, 77);
-  EXPECT_THROW(spgemm_masked(a, a, bad_mask), std::invalid_argument);
+  EXPECT_THROW(masked_spa(a, a, bad_mask), std::invalid_argument);
 }
 
 TEST(MaskedComplement, SplitsProductExactly) {
   // masked + complement-masked partition the full product's pattern.
   const mtx::CsrMatrix a = testutil::exact_er(120, 120, 5.0, 78);
   const mtx::CsrMatrix mask = testutil::exact_er(120, 120, 10.0, 79);
-  const mtx::CsrMatrix inside = spgemm_masked(a, a, mask);
-  const mtx::CsrMatrix outside = spgemm_masked(a, a, mask, /*complement=*/true);
+  const mtx::CsrMatrix inside = masked_spa(a, a, mask);
+  const mtx::CsrMatrix outside = masked_spa(a, a, mask, /*complement=*/true);
   const mtx::CsrMatrix full = reference_spgemm(SpGemmProblem::square(a));
   EXPECT_EQ(inside.nnz() + outside.nnz(), full.nnz());
   EXPECT_TRUE(equal_exact(mtx::add(inside, outside), full));
@@ -109,7 +116,7 @@ TEST(MaskedComplement, EmptyMaskKeepsEverything) {
   const mtx::CsrMatrix a = testutil::exact_er(64, 64, 4.0, 80);
   mtx::CooMatrix empty(64, 64);
   const mtx::CsrMatrix c =
-      spgemm_masked(a, a, mtx::coo_to_csr(empty), /*complement=*/true);
+      masked_spa(a, a, mtx::coo_to_csr(empty), /*complement=*/true);
   EXPECT_TRUE(equal_exact(c, reference_spgemm(SpGemmProblem::square(a))));
 }
 
@@ -117,7 +124,7 @@ TEST(MaskedComplement, FullMaskKeepsNothing) {
   const mtx::CsrMatrix a = testutil::exact_er(48, 48, 4.0, 81);
   const mtx::CsrMatrix full = reference_spgemm(SpGemmProblem::square(a));
   const mtx::CsrMatrix c =
-      spgemm_masked(a, a, mtx::to_pattern(full), /*complement=*/true);
+      masked_spa(a, a, mtx::to_pattern(full), /*complement=*/true);
   EXPECT_EQ(c.nnz(), 0);
 }
 
@@ -125,7 +132,7 @@ TEST(Masked, CancellationInsideMaskStaysStructural) {
   const auto a = from_triplets(1, 2, {{0, 0, 1.0}, {0, 1, 1.0}});
   const auto b = from_triplets(2, 1, {{0, 0, 1.0}, {1, 0, -1.0}});
   const auto mask = from_triplets(1, 1, {{0, 0, 1.0}});
-  const mtx::CsrMatrix c = spgemm_masked(a, b, mask);
+  const mtx::CsrMatrix c = masked_spa(a, b, mask);
   ASSERT_EQ(c.nnz(), 1);
   EXPECT_EQ(c.vals[0], 0.0);
 }
@@ -163,15 +170,15 @@ TEST_P(MaskedSemiring, EveryFusedKernelMatchesOracle) {
       EXPECT_TRUE(equal_exact(hash_spgemm_semiring<S>(p, ms), expected))
           << "hash " << semiring << " c=" << complement;
     });
-    // ...and the same four through the descriptor plan path (pb included).
+    // ...and the same four through the descriptor path (pb included).
     for (const char* algo : {"pb", "heap", "hash", "spa"}) {
       SpGemmOp op;
       op.algo = algo;
       op.semiring = semiring;
       op.mask = &mask;
       op.complement = complement;
-      SpGemmPlan plan = make_plan(p, op);
-      EXPECT_TRUE(equal_exact(plan.execute(p), expected))
+      SpGemmExecutor exec;
+      EXPECT_TRUE(equal_exact(exec.run(p, op), expected))
           << algo << " " << semiring << " c=" << complement;
     }
   }
@@ -198,9 +205,9 @@ TEST(MaskedSemiring2, EmptyFullAndDiagonalMasksAcrossKernels) {
         op.algo = algo;
         op.mask = mask;
         op.complement = complement;
-        SpGemmPlan plan = make_plan(p, op);
+        SpGemmExecutor exec;
         EXPECT_TRUE(equal_exact(
-            plan.execute(p),
+            exec.run(p, op),
             mtx::pattern_filter(full_product, *mask, complement)))
             << algo << " c=" << complement;
       }

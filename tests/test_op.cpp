@@ -1,8 +1,8 @@
 // The typed operation descriptor (SpGemmOp), the runtime SemiringRegistry,
-// and the descriptor-driven plan path: custom-semiring registration
-// round-trips through make_plan (algo = "auto"), masks fuse into every
-// kernel family, accumulate combines with the semiring add, and the
-// pre-descriptor entry points keep working as shims.
+// and the descriptor path through SpGemmExecutor: custom-semiring
+// registration round-trips through the executor (algo = "auto"), masks
+// fuse into every kernel family, and the accumulating run combines with
+// the semiring add.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,8 +14,8 @@
 
 #include "matrix/ops.hpp"
 #include "spgemm/masked.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/op.hpp"
-#include "spgemm/plan.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
@@ -153,21 +153,23 @@ TEST(CustomSemiring, NumericCloneMatchesNumericKernelsExactly) {
   }
 }
 
-TEST(CustomSemiring, RoundTripsThroughMakePlanWithAutoSelection) {
+TEST(CustomSemiring, RoundTripsThroughExecutorWithAutoSelection) {
   // The acceptance path: a runtime-registered semiring executes end-to-end
-  // through make_plan + SpGemmPlan::execute with algo = "auto".
+  // through SpGemmExecutor::prepare + run with algo = "auto".
   (void)plus_max();
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 93);
   const SpGemmProblem p = SpGemmProblem::square(a);
   SpGemmOp op;
   op.semiring = kPlusMax;  // algo stays "auto"
-  SpGemmPlan plan = make_plan(p, op);
-  EXPECT_EQ(plan.telemetry().requested_algo, "auto");
-  EXPECT_FALSE(plan.telemetry().choice.rationale.empty());
-  const mtx::CsrMatrix c = plan.execute(p);
-  const mtx::CsrMatrix again = plan.execute(p);
+  SpGemmExecutor exec;
+  RunInfo info;
+  exec.prepare(p, op, &info);
+  EXPECT_FALSE(info.choice.rationale.empty());
+  EXPECT_EQ(info.algo, info.choice.algo);
+  const mtx::CsrMatrix c = exec.run(p, op);
+  const mtx::CsrMatrix again = exec.run(p, op);
   EXPECT_TRUE(mtx::equal_exact(c, again));
-  EXPECT_EQ(plan.telemetry().replans, 0u);
+  EXPECT_EQ(exec.stats().cache_misses, 1u);  // the prepare; runs hit
   EXPECT_TRUE(
       mtx::equal_exact(c, plus_max_oracle(p)));
 }
@@ -199,8 +201,8 @@ TEST(SpGemmOpMask, DescriptorMatchesOracleAcrossAlgorithms) {
       op.algo = algo;
       op.mask = &mask;
       op.complement = complement;
-      SpGemmPlan plan = make_plan(p, op);
-      EXPECT_TRUE(mtx::equal_exact(plan.execute(p), expected))
+      SpGemmExecutor exec;
+      EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), expected))
           << algo << " complement=" << complement;
     }
   }
@@ -212,13 +214,13 @@ TEST(SpGemmOpMask, AutoSelectionIsMaskAwareAndCorrect) {
   const SpGemmProblem p = SpGemmProblem::square(a);
   SpGemmOp op;
   op.mask = &mask;  // algo stays "auto"
-  SpGemmPlan plan = make_plan(p, op);
-  EXPECT_TRUE(plan.telemetry().masked);
+  SpGemmExecutor exec;
+  RunInfo info;
+  const mtx::CsrMatrix c = exec.run(p, op, &info);
   // The mask-density term must be visible in the recorded decision.
-  EXPECT_GE(plan.telemetry().choice.cf_out, plan.telemetry().choice.cf);
+  EXPECT_GE(info.choice.cf_out, info.choice.cf);
   EXPECT_TRUE(mtx::equal_exact(
-      plan.execute(p),
-      mtx::pattern_filter(reference_spgemm(p), mask, false)));
+      c, mtx::pattern_filter(reference_spgemm(p), mask, false)));
 }
 
 TEST(SpGemmOpMask, PbRecordsDroppedTuplesInTelemetry) {
@@ -231,9 +233,10 @@ TEST(SpGemmOpMask, PbRecordsDroppedTuplesInTelemetry) {
   // Pin the compress-stage drop path: this mask is sparse enough that the
   // auto expand-mask would otherwise engage and leave nothing to drop.
   op.pb.expand_mask = pb::ExpandMaskMode::kOff;
-  SpGemmPlan plan = make_plan(p, op);
-  const mtx::CsrMatrix c = plan.execute(p);
-  const pb::PbTelemetry& tm = plan.last_pb_stats();
+  SpGemmExecutor exec;
+  RunInfo info;
+  const mtx::CsrMatrix c = exec.run(p, op, &info);
+  const pb::PbTelemetry& tm = info.pb_stats;
   EXPECT_EQ(tm.nnz_c, c.nnz());
   EXPECT_FALSE(tm.expand_masked);
   EXPECT_EQ(tm.mask_skipped_expand, 0);
@@ -253,9 +256,10 @@ TEST(SpGemmOpMask, PbRecordsExpandSkippedTuplesInTelemetry) {
   op.algo = "pb";
   op.mask = &mask;
   op.pb.expand_mask = pb::ExpandMaskMode::kOn;
-  SpGemmPlan plan = make_plan(p, op);
-  const mtx::CsrMatrix c = plan.execute(p);
-  const pb::PbTelemetry& tm = plan.last_pb_stats();
+  SpGemmExecutor exec;
+  RunInfo info;
+  const mtx::CsrMatrix c = exec.run(p, op, &info);
+  const pb::PbTelemetry& tm = info.pb_stats;
   EXPECT_EQ(tm.nnz_c, c.nnz());
   EXPECT_TRUE(tm.expand_masked);
   EXPECT_GT(tm.mask_skipped_expand, 0);
@@ -282,8 +286,8 @@ TEST(SpGemmOpMask, MaskedAcrossSemiringsAndFormats) {
       op.semiring = s;
       op.mask = &mask;
       op.pb.format = format;
-      SpGemmPlan plan = make_plan(p, op);
-      EXPECT_TRUE(mtx::equal_exact(plan.execute(p), expected))
+      SpGemmExecutor exec;
+      EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), expected))
           << s << " format=" << static_cast<int>(format);
     }
   }
@@ -299,8 +303,8 @@ TEST(SpGemmOpMask, UnfusedBaselinesFallBackToFilteredProduct) {
     SpGemmOp op;
     op.algo = algo;
     op.mask = &mask;
-    SpGemmPlan plan = make_plan(p, op);
-    EXPECT_TRUE(mtx::equal_exact(plan.execute(p), expected)) << algo;
+    SpGemmExecutor exec;
+    EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), expected)) << algo;
   }
 }
 
@@ -321,9 +325,9 @@ TEST(SpGemmOpMask, CustomSemiringOnUnfusedGeneralizedAlgorithm) {
       op.semiring = kPlusMax;
       op.mask = &mask;
       op.complement = complement;
-      SpGemmPlan plan = make_plan(p, op);
+      SpGemmExecutor exec;
       EXPECT_TRUE(mtx::equal_exact(
-          plan.execute(p),
+          exec.run(p, op),
           mtx::pattern_filter(plus_max_oracle(p), mask, complement)))
           << algo << " c=" << complement;
     }
@@ -344,7 +348,8 @@ TEST(SpGemmOpMask, MaskShapeMismatchThrowsAtPlanTime) {
       op.algo = algo;
       op.mask = &bad;
       op.complement = complement;
-      EXPECT_THROW((void)make_plan(p, op), std::invalid_argument)
+      SpGemmExecutor exec;
+      EXPECT_THROW(exec.prepare(p, op), std::invalid_argument)
           << algo << " c=" << complement;
       if (algo == "auto") continue;
       const SpGemmFn fn =
@@ -357,21 +362,24 @@ TEST(SpGemmOpMask, MaskShapeMismatchThrowsAtPlanTime) {
 
 TEST(SpGemmOpMask, MaskPatternMayChangeBetweenExecutes) {
   // Only the mask's shape is pinned at plan time; its pattern is read per
-  // execute, so iterative applications can mutate the mask in place.
+  // run, so iterative applications can mutate the mask in place.
   const mtx::CsrMatrix a = testutil::exact_er(140, 140, 5.0, 107);
   const SpGemmProblem p = SpGemmProblem::square(a);
   mtx::CsrMatrix mask = testutil::exact_er(140, 140, 6.0, 108);
   SpGemmOp op;
   op.algo = "pb";
   op.mask = &mask;
-  SpGemmPlan plan = make_plan(p, op);
+  SpGemmExecutor exec;
+  exec.prepare(p, op);
   const mtx::CsrMatrix full = reference_spgemm(p);
   EXPECT_TRUE(
-      mtx::equal_exact(plan.execute(p), mtx::pattern_filter(full, mask)));
+      mtx::equal_exact(exec.run(p, op), mtx::pattern_filter(full, mask)));
   mask = testutil::exact_er(140, 140, 2.0, 109);  // new pattern, same shape
-  EXPECT_TRUE(
-      mtx::equal_exact(plan.execute(p), mtx::pattern_filter(full, mask)));
-  EXPECT_EQ(plan.telemetry().replans, 0u);
+  RunInfo info;
+  EXPECT_TRUE(mtx::equal_exact(exec.run(p, op, &info),
+                               mtx::pattern_filter(full, mask)));
+  EXPECT_TRUE(info.cache_hit);
+  EXPECT_EQ(exec.stats().cache_misses, 1u);
 }
 
 // ---- accumulate -----------------------------------------------------------
@@ -382,10 +390,8 @@ TEST(SpGemmOpAccumulate, PlusTimesAccumulateIsMatrixAdd) {
   const SpGemmProblem p = SpGemmProblem::square(a);
   SpGemmOp op;
   op.algo = "pb";
-  op.accumulate = true;
-  SpGemmPlan plan = make_plan(p, op);
-  EXPECT_THROW((void)plan.execute(p), std::logic_error);
-  const mtx::CsrMatrix c = plan.execute(p, c0);
+  SpGemmExecutor exec;
+  const mtx::CsrMatrix c = exec.run(p, op, c0);
   EXPECT_TRUE(mtx::equal_exact(c, mtx::add(c0, reference_spgemm(p))));
 }
 
@@ -396,10 +402,9 @@ TEST(SpGemmOpAccumulate, MinPlusAccumulateTakesElementwiseMin) {
   SpGemmOp op;
   op.algo = "heap";
   op.semiring = MinPlus::name;
-  op.accumulate = true;
-  SpGemmPlan plan = make_plan(p, op);
+  SpGemmExecutor exec;
   const mtx::CsrMatrix product = reference_spgemm_semiring<MinPlus>(p);
-  const mtx::CsrMatrix c = plan.execute(p, c0);
+  const mtx::CsrMatrix c = exec.run(p, op, c0);
   EXPECT_TRUE(
       mtx::equal_exact(c, semiring_ewise_add(MinPlus::name, c0, product)));
   // Spot-check the union-merge semantics directly.
@@ -428,30 +433,6 @@ TEST(PatternFilter, KeepsAndComplementsPartitionTheMatrix) {
   EXPECT_EQ(in.nnz() + out.nnz(), a.nnz());
   EXPECT_TRUE(mtx::equal_exact(mtx::add(in, out), a));
   EXPECT_TRUE(mtx::equal_exact(mtx::pattern_filter(a, a), a));
-}
-
-// ---- shims ----------------------------------------------------------------
-
-TEST(Shims, SpgemmMaskedRoutesThroughDescriptorPath) {
-  const mtx::CsrMatrix a = testutil::exact_er(110, 110, 5.0, 119);
-  const mtx::CsrMatrix mask = testutil::exact_er(110, 110, 6.0, 120);
-  const mtx::CsrMatrix via_shim = spgemm_masked(a, a, mask);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  SpGemmOp op;
-  op.algo = "spa";
-  op.mask = &mask;
-  EXPECT_TRUE(mtx::equal_exact(via_shim, make_plan(p, op).execute(p)));
-}
-
-TEST(Shims, PlanOptionsAliasStillCompilesAndRuns) {
-  const mtx::CsrMatrix a = testutil::exact_er(90, 90, 4.0, 121);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  PlanOptions opts;  // the legacy name is an alias of SpGemmOp
-  opts.algo = "heap";
-  opts.semiring = "max_min";
-  SpGemmPlan plan = make_plan(p, opts);
-  EXPECT_TRUE(mtx::equal_exact(
-      plan.execute(p), reference_spgemm_semiring<MaxMin>(p)));
 }
 
 }  // namespace

@@ -43,6 +43,20 @@ TEST(PartitionedEdge, SinglePartEqualsPlainPb) {
   EXPECT_EQ(r.parts[0].flop, plain.stats.flop);
 }
 
+TEST(PartitionedEdge, RowSlicesPackTheNarrowFormat) {
+  // Row slices are short, so every part's plan packs the narrow format,
+  // and the per-part telemetry reports it.
+  const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 26);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  const PartitionedResult r = pb_spgemm_partitioned(p.a_csc, p.b_csr, 4);
+  EXPECT_TRUE(equal_exact(r.c, reference_spgemm(p)));
+  ASSERT_EQ(r.parts.size(), 4u);
+  for (const PbTelemetry& part : r.parts) {
+    EXPECT_EQ(part.format, TupleFormat::kNarrow);
+    EXPECT_EQ(part.tuple_bytes(), 12.0);
+  }
+}
+
 TEST(PartitionedEdge, PartFlopsSumToTotal) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 84);
   const SpGemmProblem p = SpGemmProblem::square(a);

@@ -21,7 +21,7 @@
 #include "matrix/ops.hpp"
 #include "pb/pb_spgemm.hpp"
 #include "spgemm/masked.hpp"
-#include "spgemm/plan.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
@@ -127,20 +127,20 @@ TEST_P(PipelineFuzz, RandomOpChainMatchesDenseMirror) {
                         : PlusTimes::name;
         const SpGemmProblem problem = SpGemmProblem::square(m);
         // Half the steps go through a fresh multiply, half through the
-        // plan/execute path (plan once, execute twice — the second
-        // execution reuses analysis + workspace and must be identical).
+        // executor (run twice — the second run reuses analysis + workspace
+        // and must be identical).
         const bool via_plan = rng.next_below(2) == 0;
         dispatch_semiring(semiring, [&]<typename S>() {
           if (via_plan) {
-            PlanOptions opts;
-            opts.algo = algo;
-            opts.semiring = semiring;
-            SpGemmPlan plan = make_plan(problem, opts);
-            const mtx::CsrMatrix once = plan.execute(problem);
-            m = plan.execute(problem);
+            SpGemmOp op;
+            op.algo = algo;
+            op.semiring = semiring;
+            SpGemmExecutor exec;
+            const mtx::CsrMatrix once = exec.run(problem, op);
+            m = exec.run(problem, op);
             ASSERT_TRUE(mtx::equal_exact(once, m))
                 << "plan re-execution diverged at step " << step;
-            ASSERT_EQ(plan.telemetry().replans, 0u);
+            ASSERT_LE(exec.stats().cache_misses, 1u);
           } else if (std::string(algo) == "pb") {
             // Drive the pipeline directly so the PbConfig is fuzzed too.
             m = pb::pb_spgemm<S>(problem.a_csc, problem.b_csr,
@@ -228,8 +228,7 @@ TEST_P(PipelineFuzz, RandomOpChainMatchesDenseMirror) {
         op.semiring = semiring;
         op.mask = &mask;
         op.complement = complement;
-        SpGemmPlan plan = make_plan(problem, op);
-        m = plan.execute(problem);
+        m = SpGemmExecutor().run(problem, op);
         dispatch_semiring(semiring,
                           [&]<typename S>() { d = dense_mult<S>(d, d); });
         // Mirror the mask: zero every dense cell whose membership in the

@@ -1,14 +1,13 @@
-// Plan/execute architecture: the PB plan-build/execute split, the public
-// SpGemmPlan with roofline-guided "auto" selection, structural
-// invalidation, and workspace pooling across plan executions.
+// Plan/execute architecture: the PB plan-build/execute split, the
+// executor's cached plans with roofline-guided "auto" selection,
+// structural invalidation, and workspace pooling across executions.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "model/selection.hpp"
-#include "pb/partitioned.hpp"
 #include "pb/plan.hpp"
-#include "spgemm/plan.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
@@ -75,7 +74,8 @@ TEST(PbPlan, MismatchedInnerDimensionsThrowBeforeAnyFlopPass) {
                std::invalid_argument);
   EXPECT_THROW((void)pb::StructureFingerprint::of(p.a_csc, p.b_csr),
                std::invalid_argument);
-  EXPECT_THROW((void)make_plan(p), std::invalid_argument);
+  SpGemmExecutor exec;
+  EXPECT_THROW(exec.prepare(p), std::invalid_argument);
 }
 
 TEST(PbPlan, RejectsStructurallyDifferentOperands) {
@@ -241,177 +241,159 @@ TEST(Selection, KeyOnlyStreamShiftsCrossoverTowardPb) {
   EXPECT_GT(boolean.ai_outer, valued.ai_outer);
 }
 
-// ---- SpGemmPlan -----------------------------------------------------------
+// ---- executor plans ---------------------------------------------------------
 
-TEST(SpGemmPlanTest, MatchesRegistryKernelsAcrossSemirings) {
+TEST(ExecutorPlan, MatchesRegistryKernelsAcrossSemirings) {
   const mtx::CsrMatrix a = testutil::exact_er(250, 250, 6.0, 16);
   const SpGemmProblem p = SpGemmProblem::square(a);
+  SpGemmExecutor exec;
   for (const std::string& algo : {"pb", "heap"}) {
     for (const std::string& s : semiring_names()) {
-      PlanOptions opts;
-      opts.algo = algo;
-      opts.semiring = s;
-      SpGemmPlan plan = make_plan(p, opts);
-      EXPECT_EQ(plan.algo(), algo);
-      const mtx::CsrMatrix c = plan.execute(p);
+      SpGemmOp op;
+      op.algo = algo;
+      op.semiring = s;
+      RunInfo info;
+      const mtx::CsrMatrix c = exec.run(p, op, &info);
+      EXPECT_EQ(info.algo, algo);
       const mtx::CsrMatrix expected = semiring_algorithm(algo, s)(p);
       EXPECT_TRUE(mtx::equal_exact(c, expected)) << algo << " x " << s;
     }
   }
 }
 
-TEST(SpGemmPlanTest, AutoResolvesToConcreteAlgorithmWithRationale) {
+TEST(ExecutorPlan, AutoResolvesToConcreteAlgorithmWithRationale) {
   const mtx::CsrMatrix a = testutil::exact_er(600, 600, 8.0, 17);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  SpGemmPlan plan = make_plan(p);  // defaults: auto, plus_times
-  const PlanTelemetry& tm = plan.telemetry();
-  EXPECT_EQ(tm.requested_algo, "auto");
-  EXPECT_TRUE(plan.algo() == "pb" || plan.algo() == "hash" ||
-              plan.algo() == "heap")
-      << plan.algo();
-  EXPECT_EQ(plan.algo(), tm.choice.algo);
-  EXPECT_FALSE(tm.choice.rationale.empty());
-  EXPECT_GT(tm.choice.cf, 0.0);
+  SpGemmExecutor exec;
+  RunInfo info;
+  exec.prepare(p, {}, &info);  // defaults: auto, plus_times
+  EXPECT_TRUE(info.algo == "pb" || info.algo == "hash" || info.algo == "heap")
+      << info.algo;
+  EXPECT_EQ(info.algo, info.choice.algo);
+  EXPECT_FALSE(info.choice.rationale.empty());
+  EXPECT_GT(info.choice.cf, 0.0);
 
-  const mtx::CsrMatrix c = plan.execute(p);
+  const mtx::CsrMatrix c = exec.run(p);
   EXPECT_TRUE(mtx::equal_exact(c, reference_spgemm(p)));
 }
 
-TEST(SpGemmPlanTest, AutoFollowsCompressionFactor) {
+TEST(ExecutorPlan, AutoFollowsCompressionFactor) {
   // An ER squaring barely compresses -> the outer-product pipeline; a
   // near-dense squaring compresses heavily -> the Gustavson hash.
   const mtx::CsrMatrix sparse = testutil::exact_er(2000, 2000, 8.0, 18);
   const mtx::CsrMatrix dense = testutil::exact_er(150, 150, 40.0, 19);
-  SpGemmPlan sp = make_plan(SpGemmProblem::square(sparse));
-  SpGemmPlan dp = make_plan(SpGemmProblem::square(dense));
-  EXPECT_EQ(sp.algo(), "pb");
-  EXPECT_EQ(dp.algo(), "hash");
+  SpGemmExecutor exec;
+  RunInfo sp;
+  RunInfo dp;
+  exec.prepare(SpGemmProblem::square(sparse), {}, &sp);
+  exec.prepare(SpGemmProblem::square(dense), {}, &dp);
+  EXPECT_EQ(sp.algo, "pb");
+  EXPECT_EQ(dp.algo, "hash");
 }
 
-TEST(SpGemmPlanTest, RecordsPredictedAndAchievedMflops) {
+TEST(ExecutorPlan, RecordsPredictedAndAchievedMflops) {
   const mtx::CsrMatrix a = testutil::exact_er(500, 500, 8.0, 30);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  SpGemmPlan plan = make_plan(p);  // auto
+  SpGemmExecutor exec;
+  RunInfo info;
+  exec.prepare(p, {}, &info);  // auto
   // The prediction is fixed at plan time from the roofline choice...
-  EXPECT_GT(plan.telemetry().predicted_mflops, 0.0);
-  EXPECT_EQ(plan.telemetry().achieved_mflops, 0.0);
+  EXPECT_GT(info.predicted_mflops, 0.0);
+  EXPECT_EQ(info.achieved_mflops, 0.0);
   // ...and every execute records what it actually achieved against it.
-  (void)plan.execute(p);
-  EXPECT_GT(plan.telemetry().achieved_mflops, 0.0);
-  (void)plan.execute(p);
-  EXPECT_GT(plan.telemetry().achieved_mflops, 0.0);
+  for (int i = 0; i < 2; ++i) {
+    (void)exec.run(p, {}, &info);
+    EXPECT_GT(info.predicted_mflops, 0.0);
+    EXPECT_GT(info.achieved_mflops, 0.0);
+  }
 }
 
-TEST(SpGemmPlanTest, RepeatedExecutionSkipsAnalysisAndAllocation) {
+TEST(ExecutorPlan, RepeatedExecutionSkipsAnalysisAndAllocation) {
   const mtx::CsrMatrix a = testutil::exact_er(350, 350, 7.0, 20);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(p, opts);
+  SpGemmOp op;
+  op.algo = "pb";
+  SpGemmExecutor exec;
+  exec.prepare(p, op);
 
-  const mtx::CsrMatrix first = plan.execute(p);
-  const pb::PbWorkspace::Stats after_first = plan.workspace_stats();
+  RunInfo info;
+  const mtx::CsrMatrix first = exec.run(p, op, &info);
+  const pb::PbWorkspace::Stats after_first = exec.workspace_stats();
   for (int i = 0; i < 5; ++i) {
-    const mtx::CsrMatrix again = plan.execute(p);
+    const mtx::CsrMatrix again = exec.run(p, op, &info);
     EXPECT_TRUE(mtx::equal_exact(first, again));
+    EXPECT_TRUE(info.cache_hit);
   }
-  const PlanTelemetry& tm = plan.telemetry();
-  EXPECT_EQ(tm.executes, 6u);
-  EXPECT_EQ(tm.replans, 0u);
-  EXPECT_EQ(tm.analysis_reuses, 6u);
+  const ExecutorStats s = exec.stats();
+  EXPECT_EQ(s.executes, 6u);
+  EXPECT_EQ(s.cache_misses, 1u);  // the prepare
+  EXPECT_EQ(s.cache_hits, 6u);
   // The symbolic phase of a reused execution is skipped entirely...
-  EXPECT_EQ(plan.last_pb_stats().symbolic.seconds, 0.0);
+  EXPECT_EQ(info.pb_stats.symbolic.seconds, 0.0);
   // ...and the tuple buffer is never reallocated.
-  const pb::PbWorkspace::Stats steady = plan.workspace_stats();
+  const pb::PbWorkspace::Stats steady = exec.workspace_stats();
   EXPECT_EQ(steady.allocations, after_first.allocations);
   EXPECT_EQ(steady.reuses, after_first.reuses + 5);
 }
 
-TEST(SpGemmPlanTest, InvalidatesOnShapeChangeAndRecovers) {
+TEST(ExecutorPlan, InvalidatesOnShapeChangeAndRecovers) {
   const mtx::CsrMatrix big = testutil::exact_er(400, 400, 6.0, 21);
   const mtx::CsrMatrix small = testutil::exact_er(120, 120, 4.0, 22);
   const SpGemmProblem pb_ = SpGemmProblem::square(big);
   const SpGemmProblem ps = SpGemmProblem::square(small);
 
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(pb_, opts);
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(pb_), reference_spgemm(pb_)));
+  SpGemmOp op;
+  op.algo = "pb";
+  SpGemmExecutor exec;
+  exec.prepare(pb_, op);
+  EXPECT_TRUE(mtx::equal_exact(exec.run(pb_, op), reference_spgemm(pb_)));
 
-  // Different structure: the plan transparently replans and stays correct.
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(ps), reference_spgemm(ps)));
-  EXPECT_EQ(plan.telemetry().replans, 1u);
+  // Different structure: the fingerprint misses, the executor analyzes
+  // the new structure and stays correct.
+  RunInfo info;
+  EXPECT_TRUE(mtx::equal_exact(exec.run(ps, op, &info), reference_spgemm(ps)));
+  EXPECT_FALSE(info.cache_hit);
+  EXPECT_EQ(exec.stats().cache_misses, 2u);
 
   // Back on the second structure: analysis is reused again.
-  const std::uint64_t reuses_before = plan.telemetry().analysis_reuses;
-  (void)plan.execute(ps);
-  EXPECT_EQ(plan.telemetry().replans, 1u);
-  EXPECT_EQ(plan.telemetry().analysis_reuses, reuses_before + 1);
+  (void)exec.run(ps, op, &info);
+  EXPECT_TRUE(info.cache_hit);
+  EXPECT_EQ(exec.stats().cache_misses, 2u);
 }
 
-TEST(SpGemmPlanTest, GrowShrinkGrowReusesPeakCapacity) {
-  // A grow-then-shrink-then-grow problem sequence through one plan: the
-  // pooled buffer sized by the big problem serves the small one and the
-  // big one again without any new allocation.
+TEST(ExecutorPlan, GrowShrinkGrowReusesPeakCapacity) {
+  // A grow-then-shrink-then-grow problem sequence through one executor:
+  // the pooled buffer sized by the big problem serves the small one and
+  // the big one again without any new allocation.
   const mtx::CsrMatrix big = testutil::exact_er(500, 500, 8.0, 23);
   const mtx::CsrMatrix small = testutil::exact_er(100, 100, 3.0, 24);
   const SpGemmProblem pb_ = SpGemmProblem::square(big);
   const SpGemmProblem ps = SpGemmProblem::square(small);
 
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(pb_, opts);
-  (void)plan.execute(pb_);
-  const pb::PbWorkspace::Stats after_big = plan.workspace_stats();
+  SpGemmOp op;
+  op.algo = "pb";
+  SpGemmExecutor exec;
+  (void)exec.run(pb_, op);
+  const pb::PbWorkspace::Stats after_big = exec.workspace_stats();
 
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(ps), reference_spgemm(ps)));
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(pb_), reference_spgemm(pb_)));
-  const pb::PbWorkspace::Stats end = plan.workspace_stats();
+  EXPECT_TRUE(mtx::equal_exact(exec.run(ps, op), reference_spgemm(ps)));
+  EXPECT_TRUE(mtx::equal_exact(exec.run(pb_, op), reference_spgemm(pb_)));
+  const pb::PbWorkspace::Stats end = exec.workspace_stats();
   EXPECT_EQ(end.allocations, after_big.allocations);
   EXPECT_EQ(end.reuses, after_big.reuses + 2);
   EXPECT_EQ(end.peak_request, after_big.peak_request);
 }
 
-TEST(SpGemmPlanTest, RejectsUnsupportedPairsAtPlanTime) {
+TEST(ExecutorPlan, RejectsUnsupportedPairsAtPlanTime) {
   const mtx::CsrMatrix a = testutil::exact_er(50, 50, 3.0, 25);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  PlanOptions opts;
-  opts.algo = "hashvec";  // the hash family's remaining plus_times-only member
-  opts.semiring = "min_plus";
-  EXPECT_THROW((void)make_plan(p, opts), std::invalid_argument);
-  opts.algo = "no_such_algo";
-  EXPECT_THROW((void)make_plan(p, opts), std::invalid_argument);
-}
-
-// ---- partitioned plan -----------------------------------------------------
-
-TEST(PartitionedPlanTest, RepeatedExecutionMatchesFusedPath) {
-  const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 26);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  const mtx::CsrMatrix expected = reference_spgemm(p);
-
-  pb::PartitionedPlan plan = pb::make_partitioned_plan(p.a_csc, p.b_csr, 4);
-  EXPECT_EQ(plan.nparts(), 4);
-  EXPECT_GT(plan.build_seconds(), 0.0);
-
-  const pb::PartitionedResult r1 = plan.execute(p.b_csr);
-  const pb::PartitionedResult r2 = plan.execute(p.b_csr);
-  EXPECT_TRUE(mtx::equal_exact(r1.c, expected));
-  EXPECT_TRUE(mtx::equal_exact(r2.c, expected));
-  // Row slices are short, so every part's plan packs the narrow format,
-  // and the per-part telemetry reports it.
-  for (const pb::PbTelemetry& part : r1.parts) {
-    EXPECT_EQ(part.format, pb::TupleFormat::kNarrow);
-    EXPECT_EQ(part.tuple_bytes(), 12.0);
-  }
-
-  const pb::PartitionedResult fused =
-      pb::pb_spgemm_partitioned(p.a_csc, p.b_csr, 4);
-  EXPECT_TRUE(mtx::equal_exact(fused.c, expected));
-
-  // Second execution draws everything from the pooled workspace.
-  const pb::PbWorkspace::Stats ws = plan.workspace_stats();
-  EXPECT_GT(ws.reuses, 0u);
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "hashvec";  // the hash family's remaining plus_times-only member
+  op.semiring = "min_plus";
+  EXPECT_THROW(exec.prepare(p, op), std::invalid_argument);
+  op.algo = "no_such_algo";
+  EXPECT_THROW(exec.prepare(p, op), std::invalid_argument);
 }
 
 }  // namespace
