@@ -6,8 +6,9 @@
 //   pattern adjacency matrix
 //
 // The fused path restricts the product to L's pattern inside the kernel —
-// PB drops masked-out tuples at its compress stage (reported below as
-// `dropped`), the Gustavson row loops skip them outright — so it writes
+// PB skips masked-out products at expand by default (reported below as
+// `skipped`) or drops their tuples at compress (`dropped`), the Gustavson
+// row loops skip them outright — so it writes
 // nnz((L·L) .* L) instead of nnz(L·L) and never runs the Hadamard pass.
 //
 //   ./bench_masked_triangle [--scales 11,12,13] [--efs 8] [--reps 5]
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
                "fused: SpGemmOp{mask = L} through the executor; unfused: "
                "full L*L then pattern filter");
   Table table({"scale", "ef", "algo", "resolved", "fused_ms", "unfused_ms",
-               "speedup", "dropped", "triangles"});
+               "speedup", "skipped", "dropped", "triangles"});
 
   for (const int scale : scales) {
     for (const int ef : efs) {
@@ -74,6 +75,8 @@ int main(int argc, char** argv) {
         const RunStats fused = measure_seconds(
             [&] { triangles = mtx::value_sum(exec.run(p, op, &info)); },
             reps, warmup);
+        const nnz_t skipped =
+            info.used_pb ? info.pb_stats.mask_skipped_expand : 0;
         const nnz_t dropped = info.used_pb ? info.pb_stats.mask_dropped : 0;
 
         // Unfused: the same concrete algorithm's full product, then the
@@ -91,7 +94,7 @@ int main(int argc, char** argv) {
 
         const double speedup = fused.min > 0 ? unfused.min / fused.min : 0.0;
         table.row(scale, ef, algo, info.algo, fused.min * 1e3,
-                  unfused.min * 1e3, speedup, dropped,
+                  unfused.min * 1e3, speedup, skipped, dropped,
                   static_cast<long long>(triangles));
         if (triangles != triangles_unfused) {
           std::cerr << "MISMATCH: fused " << triangles << " vs unfused "
@@ -108,6 +111,7 @@ int main(int argc, char** argv) {
             .field("fused_ms", fused.min * 1e3)
             .field("unfused_ms", unfused.min * 1e3)
             .field("speedup", speedup)
+            .field("mask_skipped_expand", static_cast<std::int64_t>(skipped))
             .field("mask_dropped", static_cast<std::int64_t>(dropped))
             .field("triangles", static_cast<std::int64_t>(triangles));
         sink.add(record);

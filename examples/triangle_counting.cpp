@@ -14,9 +14,10 @@
 //   * multiply-then-Hadamard: full L·L with each registry algorithm, then
 //     a separate masking pass;
 //   * the fused masked descriptor (SpGemmOp{mask = L} through
-//     SpGemmExecutor::run): the mask rides inside the kernel — PB drops
-//     masked-out tuples at its compress stage (the telemetry reports how
-//     many), the Gustavson row loops skip them outright — and "auto"
+//     SpGemmExecutor::run): the mask rides inside the kernel — PB skips
+//     masked-out products at expand, or drops their tuples at compress
+//     (the telemetry reports both counts), the Gustavson row loops skip
+//     them outright — and "auto"
 //     selection accounts for the mask's density.
 #include <pbs/pbs.hpp>
 
@@ -40,6 +41,7 @@ double count_triangles(const pbs::mtx::CsrMatrix& lower, const char* algo,
 // separate Hadamard pass.
 double count_triangles_masked(const pbs::mtx::CsrMatrix& lower,
                               const char* algo, double* seconds,
+                              pbs::nnz_t* pb_skipped,
                               pbs::nnz_t* pb_dropped) {
   pbs::Timer timer;
   const pbs::SpGemmProblem p = pbs::SpGemmProblem::square(lower);
@@ -50,6 +52,7 @@ double count_triangles_masked(const pbs::mtx::CsrMatrix& lower,
   pbs::RunInfo info;
   const double count = pbs::mtx::value_sum(exec.run(p, op, &info));
   *seconds = timer.elapsed_s();
+  *pb_skipped = info.used_pb ? info.pb_stats.mask_skipped_expand : 0;
   *pb_dropped = info.used_pb ? info.pb_stats.mask_dropped : 0;
   return count;
 }
@@ -91,11 +94,16 @@ int main(int argc, char** argv) {
   std::cout << "fused masked descriptor (SpGemmOp{mask = L}):\n";
   for (const char* algo : {"pb", "hash", "heap", "auto"}) {
     double seconds = 0;
+    pbs::nnz_t skipped = 0;
     pbs::nnz_t dropped = 0;
     const double triangles =
-        count_triangles_masked(lower, algo, &seconds, &dropped);
+        count_triangles_masked(lower, algo, &seconds, &skipped, &dropped);
     std::cout << "  " << algo << ": " << static_cast<long long>(triangles)
               << " triangles in " << seconds * 1e3 << " ms";
+    if (skipped > 0) {
+      std::cout << "  (pb expand skipped " << skipped
+                << " masked-out products)";
+    }
     if (dropped > 0) {
       std::cout << "  (pb compress dropped " << dropped
                 << " masked-out tuples)";

@@ -3,11 +3,18 @@
 // PB-SpGEMM streams the first operand column-by-column (paper Algorithm 2
 // takes A in CSC), so CSC is a first-class format here rather than "CSR of
 // the transpose".
+//
+// Storage contract, as for CsrMatrix: rowids and vals are
+// DefaultInitVector, so `resize` leaves new entries unwritten and every
+// producer writes all of them; colptr is a zero-filled std::vector that
+// count passes add into.  The implicit conversion to std::vector<T> exists
+// for the same outside callers (perfbench) that copy a matrix's arrays.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "common/default_init_vector.hpp"
 #include "common/types.hpp"
 
 namespace pbs::mtx {
@@ -16,8 +23,8 @@ struct CscMatrix {
   index_t nrows = 0;
   index_t ncols = 0;
   std::vector<nnz_t> colptr;    ///< size ncols + 1
-  std::vector<index_t> rowids;  ///< size nnz, sorted within each column
-  std::vector<value_t> vals;    ///< size nnz
+  DefaultInitVector<index_t> rowids;  ///< size nnz, sorted within each column
+  DefaultInitVector<value_t> vals;    ///< size nnz
 
   CscMatrix() : colptr{0} {}
   CscMatrix(index_t r, index_t c)

@@ -3,12 +3,24 @@
 // Row pointers are 64-bit (`nnz_t`): flop counts and expanded-tuple offsets
 // overflow 32 bits long before matrices stop fitting in memory.  Column
 // indices and values are the paper's 4-byte / 8-byte widths.
+//
+// Storage contract: colids and vals are DefaultInitVector
+// (common/default_init_vector.hpp), so `resize` leaves the new entries
+// unwritten, and every producer writes all of them before the matrix
+// escapes.  That lets a parallel producer sized in one call (PB's
+// convert, the row-wise kernels' stitch) first-touch the output from the
+// threads that write it instead of paying a serial zero-fill.  rowptr
+// stays a zero-filled std::vector: count passes add into it.  The arrays
+// convert implicitly to a plain std::vector<T> (a copy) because callers
+// outside the library, such as perfbench's serve-mix, copy-initialize
+// one from `vals`.
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/default_init_vector.hpp"
 #include "common/types.hpp"
 
 namespace pbs::mtx {
@@ -17,8 +29,8 @@ struct CsrMatrix {
   index_t nrows = 0;
   index_t ncols = 0;
   std::vector<nnz_t> rowptr;    ///< size nrows + 1
-  std::vector<index_t> colids;  ///< size nnz, sorted within each row
-  std::vector<value_t> vals;    ///< size nnz
+  DefaultInitVector<index_t> colids;  ///< size nnz, sorted within each row
+  DefaultInitVector<value_t> vals;    ///< size nnz
 
   CsrMatrix() : rowptr{0} {}
   CsrMatrix(index_t r, index_t c)

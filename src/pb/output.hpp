@@ -3,7 +3,11 @@
 // After compression each bin holds its surviving tuples sorted by
 // (row, col), and no row spans two bins.  Conversion is therefore
 // race-free per bin: count rows, prefix-sum into rowptr, then stream each
-// bin's tuples into its rows' final positions.  The keys decode to global
+// bin's tuples into its rows' final positions.  C's colids/vals are
+// DefaultInitVector, so sizing them writes nothing: each scatter thread
+// first-touches the pages of the bins it writes, and the scatter is the
+// only pass over C's entries (a std::vector resize would zero-fill and
+// fault all of C on one thread first).  The keys decode to global
 // (row, col) through the stream policy's codec (pb/tuple.hpp) — bin-
 // relative keys through the bin geometry — and values widen to the output
 // type; the key-only stream synthesizes the present-value.
@@ -48,8 +52,8 @@ struct CsrF32 {
   index_t nrows = 0;
   index_t ncols = 0;
   std::vector<nnz_t> rowptr;
-  std::vector<index_t> colids;
-  std::vector<f32_val_t> vals;
+  DefaultInitVector<index_t> colids;
+  DefaultInitVector<f32_val_t> vals;
 
   [[nodiscard]] nnz_t nnz() const {
     return rowptr.empty() ? 0 : rowptr.back();

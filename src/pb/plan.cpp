@@ -18,8 +18,8 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 // Folds ≤64 strided samples of `arr` (entry value XOR its position, under
 // a per-array salt) plus the exact last entry into `h`.  O(1) reads per
 // array keeps fingerprinting far cheaper than the flop pass it rides on.
-template <typename T>
-std::uint64_t hash_samples(std::uint64_t h, const std::vector<T>& arr,
+template <typename Array>
+std::uint64_t hash_samples(std::uint64_t h, const Array& arr,
                            std::uint64_t salt) {
   const std::size_t n = arr.size();
   h = mix64(h ^ salt ^ static_cast<std::uint64_t>(n));

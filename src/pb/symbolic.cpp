@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -167,7 +168,7 @@ TupleFormat pick_format(const BinLayout& layout, index_t nrows,
 // bool-false, its products must surface as stored zeros (the library
 // keeps exact-zero entries structurally), so the value stream cannot be
 // dropped.  One O(nnz) scan per operand guards the key-only choice.
-bool has_stored_zero(const std::vector<value_t>& vals) {
+bool has_stored_zero(std::span<const value_t> vals) {
   bool found = false;
   const auto n = static_cast<std::ptrdiff_t>(vals.size());
 #pragma omp parallel for reduction(|| : found)

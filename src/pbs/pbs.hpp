@@ -36,7 +36,6 @@
 #include "matrix/coo.hpp"
 #include "matrix/csc.hpp"
 #include "matrix/csr.hpp"
-#include "matrix/dcsc.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/matrix_market.hpp"
 #include "matrix/mstats.hpp"

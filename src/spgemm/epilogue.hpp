@@ -105,8 +105,8 @@ inline void apply_post_op(mtx::CsrMatrix& c, const PostOp& op) {
   for (index_t r = 0; r < c.nrows; ++r) kept[r + 1] += kept[r];
 
   // Pass 2: close the gaps between rows.
-  std::vector<index_t> colids(static_cast<std::size_t>(kept[c.nrows]));
-  std::vector<value_t> vals(colids.size());
+  DefaultInitVector<index_t> colids(static_cast<std::size_t>(kept[c.nrows]));
+  DefaultInitVector<value_t> vals(colids.size());
 #pragma omp parallel for schedule(static)
   for (index_t r = 0; r < c.nrows; ++r) {
     const nnz_t src = c.rowptr[r];
