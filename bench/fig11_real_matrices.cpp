@@ -7,8 +7,9 @@
 // extra traffic.
 //
 // Real SuiteSparse .mtx files are used when PBS_MATRIX_DIR (or --dir) is
-// set; otherwise the structured surrogates of DESIGN.md §3 stand in,
-// shrunk by --shrink (default 12) to laptop scale.
+// set; otherwise the structured surrogates (README.md, "Host
+// substitutions") stand in, shrunk by --shrink (default 12) to laptop
+// scale.
 #include "bench_common.hpp"
 #include "matrix/surrogates.hpp"
 
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Fig. 11 — A^2 on the Table VI suite, ascending compression factor",
       dir.empty()
-          ? "surrogate matrices (DESIGN.md s3), shrink " + std::to_string(shrink)
+          ? "surrogate matrices (README \"Host substitutions\"), shrink " + std::to_string(shrink)
           : "real matrices from " + dir);
 
   bench::Table t([&] {

@@ -5,7 +5,7 @@
 // The paper's finding: on two NUMA sockets PB loses its edge on R-MAT
 // because bins allocated on one socket get sorted by threads on the other,
 // paying the ~33 GB/s cross-socket bandwidth of Table VII.  This host has a
-// single NUMA domain (DESIGN.md §3): the *code path* (all threads, shared
+// single NUMA domain (README.md, "Host substitutions"): the *code path* (all threads, shared
 // bins) is exercised, but the cross-socket penalty cannot manifest — the
 // bench reports that explicitly so readers do not over-interpret the rows.
 #include "bench_sweeps.hpp"
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
         std::string("Fig. 14 — full-machine performance, ") +
             (kind == bench::MatrixKind::kEr ? "ER" : "R-MAT") +
             " (paper: dual-socket Skylake; this host: single NUMA domain, "
-            "substitution per DESIGN.md s3)",
+            "substitution per README \"Host substitutions\")",
         kind, args);
     std::cout << "\n";
   }

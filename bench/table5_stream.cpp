@@ -177,6 +177,6 @@ int main(int argc, char** argv) {
 
   std::cout << "\n# NOTE: the paper's dual-socket row needs a second NUMA "
                "domain; this host has one (substitution documented in "
-               "DESIGN.md s3 / EXPERIMENTS.md).\n";
+               "README \"Host substitutions\").\n";
   return 0;
 }

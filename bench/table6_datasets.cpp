@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   std::cout << "\n# surrogate recipes and the offshore nnz(C) typo "
-               "correction: see DESIGN.md s3 and src/matrix/surrogates.*\n";
+               "correction: see README \"Host substitutions\" and "
+               "src/matrix/surrogates.*\n";
   return 0;
 }

@@ -3,7 +3,7 @@
 //
 // The paper measures ~50 GB/s / 88 ns locally vs ~33 GB/s / 147 ns across
 // Skylake sockets to explain Fig. 14.  This host exposes a single NUMA
-// domain (DESIGN.md §3), so the bench measures the local figures with the
+// domain (README.md, "Host substitutions"), so the bench measures the local figures with the
 // same methodology — a STREAM copy kernel for bandwidth and a
 // pointer-chase over a cache-busting working set for latency — and reports
 // remote access as unavailable.

@@ -1,5 +1,6 @@
 // Machine/environment description printed at the top of every bench run so
-// that EXPERIMENTS.md numbers are traceable to a concrete configuration.
+// that bench numbers are traceable to a concrete configuration (README.md,
+// "Host substitutions").
 #pragma once
 
 #include <iosfwd>

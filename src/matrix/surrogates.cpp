@@ -70,7 +70,8 @@ CsrMatrix build_surrogate(const SuiteEntry& e, Recipe recipe, double shrink) {
       // plus a thin band reproduces the degree tail and keeps flop(A²)
       // near the published value scaled by `shrink`.  The one fidelity gap:
       // cf lands ~1.1 instead of web-Google's 2.04 (real link-collision
-      // structure resists synthetic mimicry); see EXPERIMENTS.md.
+      // structure resists synthetic mimicry); see README.md, "Host
+      // substitutions".
       const double band_d = std::min(3.5, e.d * 0.6);
       CooMatrix banded = generate_banded(n, band_d, 3, seed);
       RmatParams p;

@@ -102,14 +102,12 @@ AlgoChoice select_algorithm(double cf, nnz_t flop, bool hash_available,
   // Accumulator reuse is flop per surviving output entry, so the latency
   // derating runs on cf_out (== cf unmasked).
   const double col_eff = choice.cf_out / (choice.cf_out + m.column_latency_penalty);
-  // Fused expand masking (pb::ExpandMaskMode): at or below the density
-  // threshold PB's scatter loops skip generating masked-out tuples, so in
-  // nominal-flop terms PB is credited the tuples it never expands — the
-  // outer-product mirror of the column family's 1/coverage credit below.
-  // Dense masks keep the cheap post-compress drop and earn no credit.
+  // Fused expand masking (pb::ExpandMaskMode): when it engages, PB's
+  // scatter loops skip generating masked-out tuples, so in nominal-flop
+  // terms PB is credited the tuples it never expands — the outer-product
+  // mirror of the column family's 1/coverage credit below.
   double expand_mask_credit = 1.0;
-  if (mask.present && mask.kept_density < 1.0 &&
-      mask.kept_density <= m.expand_mask_density_max) {
+  if (mask.present && mask.expand_skip) {
     expand_mask_credit = 1.0 / std::clamp(mask.kept_density, 1e-9, 1.0);
   }
   choice.pb_mflops = attainable_gflops(m.beta_gbs, choice.ai_outer) *

@@ -103,14 +103,6 @@ struct SelectionModel {
   /// dominates any bandwidth advantage; pick the low-overhead heap.
   nnz_t small_flop_threshold = 32768;
 
-  /// Kept-side mask density at or below which PB's fused expand mask
-  /// engages (mirror of pb::PbConfig::expand_mask_max_density — keep the
-  /// two in sync or the model credits a path that will not run): sparse
-  /// masks let PB skip tuple generation in the scatter loop, so its
-  /// estimate is credited the skipped tuples; dense masks keep the cheap
-  /// post-compress drop and earn no credit.
-  double expand_mask_density_max = 0.05;
-
   /// Refits the two per-family derating constants — pb_efficiency and
   /// column_latency_penalty — from recorded predicted-vs-achieved pairs,
   /// closing the telemetry loop: each sample's prediction is inverted
@@ -139,10 +131,13 @@ struct MaskModel {
   double coverage = 1.0;
   /// nnz(mask): cap on surviving output nonzeros for a plain mask.
   nnz_t mask_nnz = 0;
-  /// Density of the *kept* side — nnz(mask)/cells, complement-flipped —
-  /// the quantity PB's ExpandMaskMode::kAuto gates on.  1.0 ("dense")
-  /// leaves PB's estimate uncredited.
+  /// Density of the *kept* side — nnz(mask)/cells, complement-flipped.
   double kept_density = 1.0;
+  /// Whether PB's fused expand mask will engage for this op
+  /// (pb::engage_expand_mask): its scatter loops then skip masked-out
+  /// tuples, so PB's estimate is credited 1/kept_density.  Unset, PB keeps
+  /// the post-compress drop and earns no credit.
+  bool expand_skip = false;
 };
 
 /// The decision plus everything needed to explain it in telemetry.

@@ -1,17 +1,16 @@
-// Bin layouts: the propagation-blocking partition of output rows.
+// Bin layout: the propagation-blocking partition of output rows.
 //
 // A layout answers one question — which global bin does output row r's
-// tuples propagate to? — for the three policies of pb_config.hpp.  The
-// range layout is the default: bins own contiguous, power-of-two-aligned
-// row ranges, so `binid` is a shift, bins are globally row-ordered (CSR
-// conversion becomes a streaming copy) and the upper row bits inside a bin
-// are constant (the radix sort's byte-skipping then reproduces the paper's
-// "4-byte key, four passes" behaviour automatically).
+// tuples propagate to?  Bins own contiguous, power-of-two-aligned row
+// ranges (the paper's Fig. 4), so `binid` is a shift, bins are globally
+// row-ordered (CSR conversion becomes a streaming copy) and the upper row
+// bits inside a bin are constant (the radix sort's byte-skipping then
+// reproduces the paper's "4-byte key, four passes" behaviour
+// automatically).
 #pragma once
 
 #include <algorithm>
-#include <span>
-#include <vector>
+#include <cstdint>
 
 #include "common/types.hpp"
 #include "pb/pb_config.hpp"
@@ -19,96 +18,46 @@
 namespace pbs::pb {
 
 struct BinLayout {
-  BinPolicy policy = BinPolicy::kRange;
   int nbins = 1;
-  int shift = 0;            ///< range: binid = row >> shift
-  std::uint32_t mask = 0;   ///< modulo: binid = row & mask (nbins power of 2)
-  std::vector<index_t> bounds;  ///< adaptive: bin b = rows [bounds[b], bounds[b+1])
+  int shift = 0;  ///< binid = row >> shift
 
-  [[nodiscard]] int binid(index_t row) const;
-
-  /// Width of a bin's contiguous row range.  Only range layouts have one
-  /// (modulo bins are strided, adaptive bins vary), so every other policy
-  /// reports 0.
-  [[nodiscard]] index_t rows_per_bin() const {
-    return policy == BinPolicy::kRange ? index_t{1} << shift : index_t{0};
+  [[nodiscard]] int binid(index_t row) const {
+    return static_cast<int>(row >> shift);
   }
 
-  /// log2(nbins) for the modulo policy (nbins is a power of two there).
-  [[nodiscard]] int modulo_shift() const {
-    return ceil_log2(static_cast<std::uint64_t>(mask) + 1);
+  /// Width of every bin's contiguous row range.
+  [[nodiscard]] index_t rows_per_bin() const { return index_t{1} << shift; }
+
+  /// Bin-relative row id: the rowid with the bin's constant high bits
+  /// stripped — a bijection [0, rows_per_bin) <-> the rows of its bin,
+  /// monotone in the rowid so sorting by it preserves row order within
+  /// the bin.  This is the row part of the narrow tuple key
+  /// (pb/tuple.hpp).
+  [[nodiscard]] index_t local_row(index_t row) const {
+    // Unsigned mask arithmetic: shift may be as large as 31.
+    return static_cast<index_t>(static_cast<std::uint32_t>(row) &
+                                ((std::uint32_t{1} << shift) - 1u));
   }
 
-  /// Bin-relative row id: a bijection [0, bin_width) <-> the rows of
-  /// `bin`, monotone in the rowid so sorting by it preserves row order
-  /// within the bin.  This is the row part of the narrow tuple key
-  /// (pb/tuple.hpp): range bins strip the constant high bits, modulo bins
-  /// strip the constant low (residue) bits, adaptive bins rebase on their
-  /// first row.
-  [[nodiscard]] index_t local_row(int bin, index_t row) const {
-    switch (policy) {
-      case BinPolicy::kRange:
-        // Unsigned mask arithmetic: shift may be as large as 31.
-        return static_cast<index_t>(
-            static_cast<std::uint32_t>(row) &
-            ((std::uint32_t{1} << shift) - 1u));
-      case BinPolicy::kModulo:
-        return row >> modulo_shift();
-      case BinPolicy::kAdaptive:
-        return row - bounds[static_cast<std::size_t>(bin)];
-    }
-    return 0;
-  }
-
-  /// Inverse of local_row for the same bin.
+  /// Inverse of local_row for the rows of `bin`.
   [[nodiscard]] index_t global_row(int bin, index_t local) const {
-    switch (policy) {
-      case BinPolicy::kRange:
-        return (static_cast<index_t>(bin) << shift) | local;
-      case BinPolicy::kModulo:
-        return (local << modulo_shift()) | static_cast<index_t>(bin);
-      case BinPolicy::kAdaptive:
-        return bounds[static_cast<std::size_t>(bin)] + local;
-    }
-    return 0;
+    return (static_cast<index_t>(bin) << shift) | local;
   }
 
   /// Bits needed to hold any bin's local_row values, given the matrix row
   /// count — the row half of the narrow-format fit test.
   [[nodiscard]] int local_row_bits(index_t nrows) const;
 
-  /// Visits every row `bin` owns, in ascending global-row order — the same
-  /// order the bin's sorted tuples carry their rows in (local_row is
-  /// monotone in the rowid for every policy), which is what lets the
+  /// Visits every row `bin` owns, in ascending order — the same order the
+  /// bin's sorted tuples carry their rows in, which is what lets the
   /// accumulate builders merge a bin's tuple stream against C's rows in
-  /// one forward sweep.  `nrows` bounds the walk for the range layout
-  /// (whose top bin may extend past the matrix) and the modulo layout
-  /// (whose bins stride the whole row space).
+  /// one forward sweep.  `nrows` clips the top bin, whose range may
+  /// extend past the matrix.
   template <typename Fn>
   void for_each_row(int bin, index_t nrows, Fn&& fn) const {
-    switch (policy) {
-      case BinPolicy::kRange: {
-        const index_t lo = static_cast<index_t>(bin) << shift;
-        const index_t hi =
-            std::min<index_t>(nrows, lo + (index_t{1} << shift));
-        for (index_t r = lo; r < hi; ++r) fn(r);
-        return;
-      }
-      case BinPolicy::kModulo: {
-        const auto stride = static_cast<index_t>(mask) + 1;
-        for (index_t r = static_cast<index_t>(bin); r < nrows; r += stride) {
-          fn(r);
-        }
-        return;
-      }
-      case BinPolicy::kAdaptive: {
-        const index_t lo = bounds[static_cast<std::size_t>(bin)];
-        const index_t hi =
-            std::min<index_t>(nrows, bounds[static_cast<std::size_t>(bin) + 1]);
-        for (index_t r = lo; r < hi; ++r) fn(r);
-        return;
-      }
-    }
+    const index_t lo = static_cast<index_t>(bin) << shift;
+    const index_t hi = std::min<index_t>(nrows, lo + rows_per_bin());
+    for (index_t r = lo; r < hi; ++r) fn(r);
   }
 };
 
@@ -118,13 +67,5 @@ int auto_nbins(nnz_t flop, std::size_t l2_bytes);
 
 /// Range layout covering `nrows` rows with ~`nbins_target` bins.
 BinLayout make_range_layout(index_t nrows, int nbins_target);
-
-/// Modulo layout with next_pow2(nbins_target) bins.
-BinLayout make_modulo_layout(index_t nrows, int nbins_target);
-
-/// Adaptive layout: greedy row-range partition where each bin's flop stays
-/// below ~flop_total/nbins_target (heavy single rows get their own bin).
-BinLayout make_adaptive_layout(std::span<const nnz_t> row_flops,
-                               int nbins_target);
 
 }  // namespace pbs::pb

@@ -12,8 +12,8 @@
 // (pb/tuple.hpp).  The only algebraic operation it performs is the scalar
 // multiply A(r,i) ⊗ B(i,c), which becomes S::mul — and the key-only
 // stream, which has no value lane, skips even that.  Routing, blocking and
-// the store policy are semiring-independent, so every instantiation
-// streams memory identically.
+// the non-temporal flush stores are semiring-independent, so every
+// instantiation streams memory identically.
 #pragma once
 
 #include <algorithm>
@@ -36,18 +36,20 @@ namespace pbs::pb {
 /// Whether this run's expand phase should apply the fused output mask in
 /// its scatter loop (ExpandMaskMode): forced by kOn, and under kAuto
 /// engaged when the kept-side density — nnz(mask)/cells, complement-
-/// flipped — is at most cfg.expand_mask_max_density.  A per-run decision:
-/// the mask is run state, never plan state, so pb_execute calls this with
-/// the mask actually passed to it.
+/// flipped — is at most 5%.  A per-run decision: the mask is run state,
+/// never plan state, so pb_execute calls this with the mask actually
+/// passed to it, and the executor's selection model calls it to credit
+/// only a skip that will run.
 inline bool engage_expand_mask(const MaskSpec& mask, const PbConfig& cfg,
                                index_t nrows, index_t ncols) {
+  constexpr double kMaxKeptDensity = 0.05;
   if (!mask.active() || cfg.expand_mask == ExpandMaskMode::kOff) return false;
   if (cfg.expand_mask == ExpandMaskMode::kOn) return true;
   const double cells = static_cast<double>(nrows) * static_cast<double>(ncols);
   if (cells <= 0) return true;
   const double density = static_cast<double>(mask.csr->nnz()) / cells;
   const double kept = mask.complement ? 1.0 - density : density;
-  return kept <= cfg.expand_mask_max_density;
+  return kept <= kMaxKeptDensity;
 }
 
 namespace detail {
@@ -56,19 +58,6 @@ inline void flush_fence() {
 #if defined(__SSE2__)
   _mm_sfence();  // make non-temporal stores visible before the sort phase
 #endif
-}
-
-// The expand kernel is templated on the binning policy so the binid
-// computation in the inner loop is a shift/mask, not a switch.
-template <BinPolicy P>
-int fast_binid(const BinLayout& layout, index_t row) {
-  if constexpr (P == BinPolicy::kRange) {
-    return static_cast<int>(row >> layout.shift);
-  } else if constexpr (P == BinPolicy::kModulo) {
-    return static_cast<int>(static_cast<std::uint32_t>(row) & layout.mask);
-  } else {
-    return layout.binid(row);
-  }
 }
 
 // The per-(output row, B row) mask merge of the expand kernel: the B
@@ -119,16 +108,33 @@ inline void finish_expand(const std::vector<std::atomic<nnz_t>>& cursor,
   }
 }
 
-// Each thread routes its columns' tuples through thread-private local
-// bins and flushes a full local bin to the global bin's shared write
-// cursor.  Local bins are a stream of the same policy (one lane per
-// stream lane), with a capacity rounded to the policy's flush quantum so
-// a full flush is whole cache lines on every lane, keeping the
-// non-temporal store path of flush_copy.  Returns the team's flush count.
-template <BinPolicy P, typename S, typename St>
-nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                  const SymbolicResult& sym, const PbConfig& cfg, St out,
-                  const MaskSpec& emask, nnz_t* actual_fill) {
+}  // namespace detail
+
+/// Fills `out[0 .. sym.bin_offsets.back())` with the expanded tuples of
+/// A ⊗ B over semiring S, bin by bin according to sym.bin_offsets, in the
+/// stream format St.  Requires sym.format == St::kFormat (bin regions are
+/// padded for the format's line size) and a stream with room for
+/// sym.bin_offsets.back() tuples.  Returns the number of local-bin flushes
+/// (telemetry for the Fig. 6a bin-width study).
+///
+/// With an active `emask` the scatter loop applies the fused output mask
+/// while generating: tuples whose (row, col) fails the mask polarity are
+/// never multiplied, buffered or flushed (a flop reduction — the
+/// ExpandMaskMode path).  Bins then hold fewer tuples than the symbolic
+/// fill marks; `actual_fill` (when non-null, length layout.nbins)
+/// receives each bin's generated tuple count, which downstream
+/// sort/compress must use in place of sym.bin_fill.
+///
+/// Each thread routes its columns' tuples through thread-private local
+/// bins and flushes a full local bin to the global bin's shared write
+/// cursor.  Local bins are a stream of the same policy (one lane per
+/// stream lane), with a capacity rounded to the policy's flush quantum so
+/// a full flush is whole cache lines on every lane, keeping the
+/// non-temporal store path of flush_copy.
+template <typename S, TupleStreamView St>
+nnz_t pb_expand(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
+                const SymbolicResult& sym, const PbConfig& cfg, St out,
+                const MaskSpec& emask = {}, nnz_t* actual_fill = nullptr) {
   using key_type = typename St::key_type;
   const BinLayout& layout = sym.layout;
   const auto nbins = static_cast<std::size_t>(layout.nbins);
@@ -136,10 +142,8 @@ nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   const int cap = std::max<int>(
       q, cfg.local_bin_bytes / static_cast<int>(St::kBytes) / q * q);
   const int col_bits = sym.col_bits;
-  const int mod_shift =
-      layout.policy == BinPolicy::kModulo ? layout.modulo_shift() : 0;
   const bool masked = emask.active();
-  std::vector<std::atomic<nnz_t>> cursor = bin_cursors(sym);
+  std::vector<std::atomic<nnz_t>> cursor = detail::bin_cursors(sym);
   nnz_t flushes = 0;
 
 #pragma omp parallel reduction(+ : flushes)
@@ -154,8 +158,7 @@ nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     auto flush = [&](std::size_t bin) {
       const int count = lcnt[bin];
       const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-      lbin.at(static_cast<nnz_t>(bin) * cap)
-          .copy_to(out.at(pos), count, cfg.streaming_stores);
+      lbin.at(static_cast<nnz_t>(bin) * cap).copy_to(out.at(pos), count);
       lcnt[bin] = 0;
       ++flushes;
     };
@@ -175,11 +178,9 @@ nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       for (std::size_t ai = 0; ai < arows.size(); ++ai) {
         const index_t r = arows[ai];
         const value_t av = St::kHasValues ? avals[ai] : value_t{};
-        const int bin_i = fast_binid<P>(layout, r);
-        const auto bin = static_cast<std::size_t>(bin_i);
+        const auto bin = static_cast<std::size_t>(layout.binid(r));
         // The row bits are constant across B(i,:): build them once.
-        const key_type rowkey = St::Codec::template row_key<P>(
-            layout, bin_i, r, col_bits, mod_shift);
+        const key_type rowkey = St::Codec::row_key(layout, r, col_bits);
         const St lane = lbin.at(static_cast<nnz_t>(bin) * cap);
         auto emit = [&](std::size_t bi) {
           if (lcnt[bin] == cap) flush(bin);
@@ -192,7 +193,7 @@ nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
           // Empty mask row keeps nothing: the whole B row is skipped
           // without touching the lane (the common case on sparse masks).
           if (mrow.empty() && !emask.complement) continue;
-          masked_scan(bcols, mrow, emask.complement, emit);
+          detail::masked_scan(bcols, mrow, emask.complement, emit);
           continue;
         }
         for (std::size_t bi = 0; bi < bcols.size(); ++bi) emit(bi);
@@ -203,45 +204,11 @@ nnz_t expand_impl(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     for (std::size_t bin = 0; bin < nbins; ++bin) {
       if (lcnt[bin] != 0) flush(bin);
     }
-    flush_fence();
+    detail::flush_fence();
   }
 
-  finish_expand(cursor, sym, cfg, emask, actual_fill);
+  detail::finish_expand(cursor, sym, cfg, emask, actual_fill);
   return flushes;
-}
-
-}  // namespace detail
-
-/// Fills `out[0 .. sym.bin_offsets.back())` with the expanded tuples of
-/// A ⊗ B over semiring S, bin by bin according to sym.bin_offsets, in the
-/// stream format St.  Requires sym.format == St::kFormat (bin regions are
-/// padded for the format's line size) and a stream with room for
-/// sym.bin_offsets.back() tuples.  Returns the number of local-bin flushes
-/// (telemetry for the Fig. 6a bin-width study).
-///
-/// With an active `emask` the scatter loop applies the fused output mask
-/// while generating: tuples whose (row, col) fails the mask polarity are
-/// never multiplied, buffered or flushed (a flop reduction — the
-/// ExpandMaskMode path).  Bins then hold fewer tuples than the symbolic
-/// fill marks; `actual_fill` (when non-null, length layout.nbins)
-/// receives each bin's generated tuple count, which downstream
-/// sort/compress must use in place of sym.bin_fill.
-template <typename S, TupleStreamView St>
-nnz_t pb_expand(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                const SymbolicResult& sym, const PbConfig& cfg, St out,
-                const MaskSpec& emask = {}, nnz_t* actual_fill = nullptr) {
-  switch (sym.layout.policy) {
-    case BinPolicy::kRange:
-      return detail::expand_impl<BinPolicy::kRange, S>(a, b, sym, cfg, out,
-                                                       emask, actual_fill);
-    case BinPolicy::kModulo:
-      return detail::expand_impl<BinPolicy::kModulo, S>(a, b, sym, cfg, out,
-                                                        emask, actual_fill);
-    case BinPolicy::kAdaptive:
-      return detail::expand_impl<BinPolicy::kAdaptive, S>(a, b, sym, cfg, out,
-                                                          emask, actual_fill);
-  }
-  return 0;
 }
 
 // Named wide and narrow forms of the phase call above.  perfbench/'s

@@ -39,7 +39,7 @@ CsrF32 pb_build_csr_narrow_f32_native(const narrow_key_t* keys,
   out.rowptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
   detail::build_csr_into(F32Stream{const_cast<narrow_key_t*>(keys),
                                    const_cast<f32_val_t*>(vals)},
-                         offsets, merged, KeyGeometry(&layout, col_bits),
+                         offsets, merged, KeyGeometry{&layout, col_bits},
                          nrows, out, nullptr);
   return out;
 }

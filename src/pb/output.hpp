@@ -116,9 +116,8 @@ void build_csr_into(St stream, std::span<const nnz_t> offsets,
         const St t = stream.at(offsets[static_cast<std::size_t>(bin)]);
         const nnz_t n = merged[static_cast<std::size_t>(bin)];
         // Within a bin tuples are (row, col)-sorted — bin-relative rows
-        // are monotone in the rowid for every policy — so every row is
-        // one contiguous run of equal row bits; its j-th element lands at
-        // rowptr[row] + j.
+        // are monotone in the rowid — so every row is one contiguous run
+        // of equal row bits; its j-th element lands at rowptr[row] + j.
         const KeyGeometry g = geo;
         const nnz_t* rowptr = out.rowptr.data();
         index_t* colids = out.colids.data();
@@ -154,7 +153,7 @@ mtx::CsrMatrix pb_build_csr(St stream, std::span<const nnz_t> offsets,
                             index_t nrows, index_t ncols,
                             const CancelToken* cancel = nullptr) {
   mtx::CsrMatrix out(nrows, ncols);
-  detail::build_csr_into(stream, offsets, merged, KeyGeometry(layout, col_bits),
+  detail::build_csr_into(stream, offsets, merged, KeyGeometry{layout, col_bits},
                          nrows, out, cancel);
   return out;
 }
@@ -170,7 +169,7 @@ mtx::CsrMatrix pb_accumulate_csr(St stream, std::span<const nnz_t> offsets,
                                  index_t nrows, index_t ncols,
                                  const CancelToken* cancel = nullptr) {
   using Codec = typename St::Codec;
-  const KeyGeometry geo(&layout, col_bits);
+  const KeyGeometry geo{&layout, col_bits};
   mtx::CsrMatrix c(nrows, ncols);
   detail::build_two_pass(
       layout.nbins, nrows, c,

@@ -1,10 +1,9 @@
 // PB-SpGEMM configuration and telemetry.
 //
 // The two tunables the paper studies in Fig. 6 — the number of global bins
-// and the width of the thread-private local bins — plus the binning policy
-// (the paper's Algorithm 2 writes `rowid % nbins`, its Fig. 4 depicts row
-// *ranges*, and Sec. V-C mentions variable-length bins for skewed inputs;
-// all three are implemented and compared in bench/ablation_binning).
+// and the width of the thread-private local bins.  Bins are always the
+// contiguous power-of-two row ranges of the paper's Fig. 4 (pb/binning.hpp);
+// local bins always flush through the streaming-store path.
 //
 // Telemetry records per-phase wall time alongside the *modeled* bytes of
 // Table III, so "sustained bandwidth" is computed with the same accounting
@@ -24,14 +23,6 @@ class CancelToken;
 }
 
 namespace pbs::pb {
-
-enum class BinPolicy {
-  kRange,    ///< bin b owns rows [b·W, (b+1)·W), W a power of two (Fig. 4)
-  kModulo,   ///< binid = rowid % nbins (Algorithm 2, line 9 literal)
-  kAdaptive, ///< variable row ranges balanced by per-bin flop (Sec. V-C)
-};
-
-const char* to_string(BinPolicy p);
 
 /// How the symbolic phase picks the tuple stream format (pb/tuple.hpp).
 /// Every request except kWide is a preference: when the requested format
@@ -80,8 +71,6 @@ struct PbConfig {
   /// (Algorithm 2, line 3).  Must hold at least one 16-byte tuple.
   int local_bin_bytes = 512;
 
-  BinPolicy policy = BinPolicy::kRange;
-
   /// Tuple stream format selection (default: narrow when it fits, and
   /// key-only when the semiring is value-free).
   FormatPolicy format = FormatPolicy::kAuto;
@@ -99,22 +88,15 @@ struct PbConfig {
   /// L2 size used by the auto-nbins rule; 0 = detect at runtime.
   std::size_t l2_bytes = 0;
 
-  /// Use non-temporal (streaming) stores for local-bin flushes — full
-  /// cache-line writes with no read-for-ownership, the mechanism behind
-  /// the paper's "always write tuples in multiples of cache lines".
-  /// Disable only for the ablation bench.
-  bool streaming_stores = true;
-
   /// Expand-phase masking (per run: the decision reads the mask passed to
   /// pb_execute, never plan state — mask patterns may change between
   /// executions of one plan).  Under kAuto the phase engages when the
-  /// kept-side density (nnz(mask)/cells, complement-flipped) is at most
-  /// expand_mask_max_density: sparse masks turn the post-compress traffic
-  /// win into a flop win (tuples for masked-out outputs are never
-  /// generated), while dense masks keep the cheap compress-stage drop —
-  /// the merge-scan against the mask row would cost more than it saves.
+  /// mask is sparse enough (pb::engage_expand_mask): sparse masks turn
+  /// the post-compress traffic win into a flop win (tuples for masked-out
+  /// outputs are never generated), while dense masks keep the cheap
+  /// compress-stage drop — the merge-scan against the mask row would cost
+  /// more than it saves.
   ExpandMaskMode expand_mask = ExpandMaskMode::kAuto;
-  double expand_mask_max_density = 0.05;
 
   /// Extra O(flop) invariant checks after each phase (tests only).
   bool validate = false;
@@ -206,7 +188,7 @@ struct PbTelemetry {
   /// stage (prune/top-k; a pure scale drops nothing).
   nnz_t post_dropped = 0;
   int nbins = 0;
-  index_t rows_per_bin = 0;  ///< 0 for adaptive layouts
+  index_t rows_per_bin = 0;  ///< the range width of every bin
 
   /// Stream format this run used and its per-tuple byte cost (the `b` the
   /// phase byte models above were computed with).

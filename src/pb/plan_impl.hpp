@@ -73,9 +73,7 @@ PbResult pb_execute(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   // the fused build+execute path).
   tm.flop = sym.flop;
   tm.nbins = nbins;
-  // rows_per_bin contract: the range policy reports its power-of-two bin
-  // width; modulo and adaptive layouts have no single contiguous width and
-  // report 0 (see BinLayout::rows_per_bin).
+  // Every bin is one power-of-two row range of this width.
   tm.rows_per_bin = sym.layout.rows_per_bin();
   tm.format = sym.format;
   // The `b` each tuple of this run's stream costs — the per-format Table

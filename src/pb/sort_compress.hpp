@@ -206,7 +206,7 @@ SortCompressResult pb_sort_compress(St stream, std::span<const nnz_t> offsets,
                                     const CancelToken* cancel = nullptr,
                                     const PostOp& post = {}) {
   using Codec = typename St::Codec;
-  const KeyGeometry geo(layout, col_bits);
+  const KeyGeometry geo{layout, col_bits};
   SortCompressResult out;
   out.merged.assign(static_cast<std::size_t>(nbins), 0);
 

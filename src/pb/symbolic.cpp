@@ -194,23 +194,7 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   const std::size_t l2 = cfg.l2_bytes != 0 ? cfg.l2_bytes : cache_info().l2_bytes;
   const int target = cfg.nbins > 0 ? cfg.nbins : auto_nbins(out.flop, l2);
 
-  switch (cfg.policy) {
-    case BinPolicy::kRange:
-      out.layout = make_range_layout(a.nrows, target);
-      break;
-    case BinPolicy::kModulo:
-      out.layout = make_modulo_layout(a.nrows, target);
-      break;
-    case BinPolicy::kAdaptive: {
-      if (hints.row_flops.size() == static_cast<std::size_t>(a.nrows)) {
-        out.layout = make_adaptive_layout(hints.row_flops, target);
-      } else {
-        const std::vector<nnz_t> rf = pb_row_flops(a, b);
-        out.layout = make_adaptive_layout(rf, target);
-      }
-      break;
-    }
-  }
+  out.layout = make_range_layout(a.nrows, target);
 
   out.col_bits = ceil_log2(static_cast<std::uint64_t>(b.ncols));
   // Key-only is only reachable under cfg.value_free, and the assertion is
@@ -252,9 +236,9 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 
   // Bin -> home-node map: contiguous flop-balanced partition over the
   // machine's NUMA nodes.  Contiguity keeps each node's share of the
-  // tuple pool one address range (range/adaptive layouts are row-ordered,
-  // so it is also a row partition); balancing by fill gives every node
-  // roughly flop/nnodes tuples to serve from local memory.
+  // tuple pool one address range (bins are row-ordered, so it is also a
+  // row partition); balancing by fill gives every node roughly
+  // flop/nnodes tuples to serve from local memory.
   const int nnodes = numa_topology().nnodes;
   out.numa_nodes = 1;
   out.bin_home.assign(static_cast<std::size_t>(out.layout.nbins), 0);
@@ -286,11 +270,8 @@ TupleFormat predict_tuple_format(index_t a_nrows, index_t b_ncols, nnz_t flop,
   const std::size_t l2 =
       cfg.l2_bytes != 0 ? cfg.l2_bytes : cache_info().l2_bytes;
   const int target = cfg.nbins > 0 ? cfg.nbins : auto_nbins(flop, l2);
-  // Range and modulo geometries are structure-free, so the prediction
-  // builds the real layout; adaptive uses range as its proxy (see header).
-  const BinLayout layout = cfg.policy == BinPolicy::kModulo
-                               ? make_modulo_layout(a_nrows, target)
-                               : make_range_layout(a_nrows, target);
+  // The layout is structure-free, so the prediction builds the real one.
+  const BinLayout layout = make_range_layout(a_nrows, target);
   const int col_bits = ceil_log2(static_cast<std::uint64_t>(b_ncols));
   return pick_format(layout, a_nrows, col_bits, cfg);
 }

@@ -19,8 +19,8 @@
 //    stream: expand writes 12 B/tuple, the sort's histogram passes read
 //    4 B/tuple, and conversion reconstructs the global (row, col) from the
 //    bin geometry while streaming.  Within a bin ascending narrow-key
-//    order equals ascending (row, col) order for every bin policy, so the
-//    formats produce identical CSR.
+//    order equals ascending (row, col) order, so the formats produce
+//    identical CSR.
 //
 //  * kKeyOnly — the 8-byte wide key with NO value array at all.  For a
 //    value-free semiring (bool_or_and, or any registered semiring flagged
@@ -106,20 +106,11 @@ inline index_t narrow_key_col(narrow_key_t key, int col_bits) {
 }
 
 /// The bin geometry a key is decoded against: the stream's layout and
-/// column width (SymbolicResult::layout / col_bits), with the modulo shift
-/// hoisted so a per-tuple decode is a plain shift/or (or an indexed add).
-/// Global-key formats never read it.
+/// column width (SymbolicResult::layout / col_bits).  Global-key formats
+/// never read it.
 struct KeyGeometry {
   const BinLayout* layout = nullptr;
   int col_bits = 0;
-  int mod_shift = 0;
-
-  KeyGeometry(const BinLayout* l, int cb)
-      : layout(l),
-        col_bits(cb),
-        mod_shift(l != nullptr && l->policy == BinPolicy::kModulo
-                      ? l->modulo_shift()
-                      : 0) {}
 };
 
 /// Global key: (row << 32) | col.  It carries the coordinates outright, so
@@ -128,9 +119,8 @@ struct GlobalKey {
   using type = std::uint64_t;
 
   /// The row half of the key, built once per (A entry, B row) pair.
-  template <BinPolicy P>
-  static type row_key(const BinLayout& /*layout*/, int /*bin*/, index_t row,
-                      int /*col_bits*/, int /*mod_shift*/) {
+  static type row_key(const BinLayout& /*layout*/, index_t row,
+                      int /*col_bits*/) {
     return static_cast<type>(static_cast<std::uint32_t>(row)) << 32;
   }
   /// The key's row bits: constant across one output row's run in a bin.
@@ -151,36 +141,15 @@ struct GlobalKey {
 struct BinKey {
   using type = std::uint32_t;
 
-  // Bin-relative row, specialized per bin policy so the expand inner loop
-  // never switches.  `mod_shift` is layout.modulo_shift(), hoisted.
-  template <BinPolicy P>
-  static type row_key(const BinLayout& layout, int bin, index_t row,
-                      int col_bits, int mod_shift) {
-    index_t local = 0;
-    if constexpr (P == BinPolicy::kRange) {
-      local = static_cast<index_t>(static_cast<std::uint32_t>(row) &
-                                   ((std::uint32_t{1} << layout.shift) - 1u));
-    } else if constexpr (P == BinPolicy::kModulo) {
-      local = row >> mod_shift;
-    } else {
-      local = row - layout.bounds[static_cast<std::size_t>(bin)];
-    }
-    return static_cast<type>(local) << col_bits;
+  static type row_key(const BinLayout& layout, index_t row, int col_bits) {
+    return static_cast<type>(layout.local_row(row)) << col_bits;
   }
   static index_t row_bits(type key, const KeyGeometry& g) {
     return narrow_key_local_row(key, g.col_bits);
   }
   // Inverse of row_key's local row: rebuild the rowid from (bin, local).
   static index_t global_row(index_t local, int bin, const KeyGeometry& g) {
-    switch (g.layout->policy) {
-      case BinPolicy::kRange:
-        return (static_cast<index_t>(bin) << g.layout->shift) | local;
-      case BinPolicy::kModulo:
-        return (local << g.mod_shift) | static_cast<index_t>(bin);
-      case BinPolicy::kAdaptive:
-        return g.layout->bounds[static_cast<std::size_t>(bin)] + local;
-    }
-    return index_t{0};
+    return g.layout->global_row(bin, local);
   }
   static index_t col(type key, const KeyGeometry& g) {
     return narrow_key_col(key, g.col_bits);
@@ -203,12 +172,10 @@ namespace detail {
 // lane of a stream (the AoS tuples, or the key and value arrays) is copied
 // separately.
 template <typename T>
-inline void flush_copy(T* dst, const T* src, int count,
-                       [[maybe_unused]] bool streaming) {
+inline void flush_copy(T* dst, const T* src, int count) {
   const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
 #if defined(__SSE2__)
-  if (streaming && (reinterpret_cast<std::uintptr_t>(dst) & 63u) == 0 &&
-      bytes % 64 == 0) {
+  if ((reinterpret_cast<std::uintptr_t>(dst) & 63u) == 0 && bytes % 64 == 0) {
     const auto* s = reinterpret_cast<const __m128i*>(src);
     auto* d = reinterpret_cast<__m128i*>(dst);
     const std::size_t blocks = bytes / sizeof(__m128i);
@@ -265,8 +232,8 @@ struct WideStream {
   void move(std::size_t src, std::size_t dst) const {
     tuples[dst] = tuples[src];
   }
-  void copy_to(const WideStream& dst, int count, bool streaming) const {
-    detail::flush_copy(dst.tuples, tuples, count, streaming);
+  void copy_to(const WideStream& dst, int count) const {
+    detail::flush_copy(dst.tuples, tuples, count);
   }
   /// Calls fn(begin, end) on the byte range of tuples [lo, hi).
   template <typename Fn>
@@ -374,10 +341,10 @@ struct SoaStream {
     keys[dst] = keys[src];
     if constexpr (kHasValues) vals[dst] = vals[src];
   }
-  void copy_to(const SoaStream& dst, int count, bool streaming) const {
-    detail::flush_copy(dst.keys, keys, count, streaming);
+  void copy_to(const SoaStream& dst, int count) const {
+    detail::flush_copy(dst.keys, keys, count);
     if constexpr (kHasValues) {
-      detail::flush_copy(dst.vals, vals, count, streaming);
+      detail::flush_copy(dst.vals, vals, count);
     }
   }
   template <typename Fn>

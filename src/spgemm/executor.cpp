@@ -11,6 +11,7 @@
 #include "common/errors.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
+#include "pb/expand.hpp"
 #include "pb/symbolic.hpp"
 #include "spgemm/epilogue.hpp"
 #include "spgemm/registry.hpp"
@@ -36,13 +37,11 @@ std::string op_cache_key(const SpGemmOp& op) {
   std::ostringstream key;
   key << op.algo << '|' << op.semiring << '|'
       << static_cast<const void*>(op.mask) << '|' << op.complement << '|'
-      << static_cast<int>(op.pb.policy) << '|'
       << static_cast<int>(op.pb.format) << '|' << op.pb.value_free << '|'
       << op.pb.nbins << '|' << op.pb.local_bin_bytes << '|'
-      << op.pb.l2_bytes << '|' << op.pb.streaming_stores << '|'
-      << static_cast<int>(op.pb.expand_mask) << '|'
-      << op.pb.expand_mask_max_density << '|' << op.post_op.scale << '|'
-      << op.post_op.prune_threshold << '|' << op.post_op.top_k << '|'
+      << op.pb.l2_bytes << '|' << static_cast<int>(op.pb.expand_mask) << '|'
+      << op.post_op.scale << '|' << op.post_op.prune_threshold << '|'
+      << op.post_op.top_k << '|'
       << op.model.pb_efficiency << '|'
       << op.model.column_latency_penalty << '|'
       << op.model.small_flop_threshold << '|' << op.model.pb_tuple_bytes
@@ -159,9 +158,9 @@ struct CachedPlanEntry {
 namespace {
 
 /// Estimated resident cost of one cache entry: the struct itself, its
-/// strings, and the PB symbolic arrays (per-bin offsets/fills/homes and
-/// the adaptive layout's bounds).  The tuple streams are NOT here — they
-/// live in the workspace pool, shared by every entry.
+/// strings, and the PB symbolic arrays (per-bin offsets/fills/homes).
+/// The tuple streams are NOT here — they live in the workspace pool,
+/// shared by every entry.
 std::size_t entry_bytes(const CachedPlanEntry& e) {
   std::size_t b = sizeof(CachedPlanEntry);
   b += e.key.capacity() + e.resolved.capacity() + e.op.algo.capacity() +
@@ -170,7 +169,6 @@ std::size_t entry_bytes(const CachedPlanEntry& e) {
   b += sym.bin_offsets.capacity() * sizeof(nnz_t);
   b += sym.bin_fill.capacity() * sizeof(nnz_t);
   b += sym.bin_home.capacity() * sizeof(int);
-  b += sym.layout.bounds.capacity() * sizeof(index_t);
   return b;
 }
 
@@ -389,9 +387,9 @@ struct SpGemmExecutor::Impl {
     entry->auto_requested = op.algo == "auto";
 
     std::string resolved = op.algo;
-    std::vector<nnz_t> row_flops;
     if (entry->auto_requested) {
-      row_flops = pb::pb_row_flops(p.a_csc, p.b_csr);
+      const std::vector<nnz_t> row_flops =
+          pb::pb_row_flops(p.a_csc, p.b_csr);
       const nnz_t nnz_est = pb::pb_estimate_nnz_c(row_flops, p.b_csr.ncols);
       const double cf = static_cast<double>(fp.flop) /
                         static_cast<double>(std::max<nnz_t>(nnz_est, 1));
@@ -406,17 +404,13 @@ struct SpGemmExecutor::Impl {
       // inverts predictions through this constant.
       entry->sel_pb_efficiency = m.pb_efficiency;
       entry->sel_column_latency_penalty = m.column_latency_penalty;
-      // Keep the model's expand-mask gate in lockstep with the config the
-      // pb path will actually run under: credit a skip that will happen,
-      // never one that kOff has disabled.
-      m.expand_mask_density_max =
-          pbcfg.expand_mask == pb::ExpandMaskMode::kOff
-              ? 0.0
-              : pbcfg.expand_mask_max_density;
       model::MaskModel mm;
       if (op.mask != nullptr) {
         mm.present = true;
         mm.complement = op.complement;
+        // Credit exactly the expand-time skip the pb path will run.
+        mm.expand_skip = pb::engage_expand_mask(
+            mask_of(op), pbcfg, p.a_csr.nrows, p.b_csr.ncols);
         mm.mask_nnz = op.mask->nnz();
         const double cells = static_cast<double>(p.a_csr.nrows) *
                              static_cast<double>(p.b_csr.ncols);
@@ -466,7 +460,6 @@ struct SpGemmExecutor::Impl {
       } else {
         pb::SymbolicHints hints;
         hints.flop = fp.flop;
-        hints.row_flops = row_flops;
         entry->pb_plan = pb::pb_plan_build(p.a_csc, p.b_csr, pbcfg, hints);
         if (cap > 0) {
           // Exact requirement of the built plan: the full tuple stream

@@ -1,5 +1,6 @@
 // The bench harness's own utilities (arg parsing, table layout, timing
-// loops) feed every number in EXPERIMENTS.md — they deserve tests too.
+// loops) feed every bench number the README's "Reproducing the paper"
+// section points to — they deserve tests too.
 #include <gtest/gtest.h>
 
 #include <sstream>

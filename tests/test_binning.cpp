@@ -2,14 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace pbs::pb {
 namespace {
 
 TEST(RangeLayout, CoversAllRowsInOrder) {
   const BinLayout l = make_range_layout(1000, 8);
-  EXPECT_EQ(l.policy, BinPolicy::kRange);
   EXPECT_GE(l.nbins, 4);
   EXPECT_LE(l.nbins, 8);
   int prev = 0;
@@ -47,55 +44,6 @@ TEST(RangeLayout, MoreBinsThanRowsDegradesGracefully) {
   for (index_t r = 0; r < 5; ++r) EXPECT_LT(l.binid(r), l.nbins);
 }
 
-TEST(ModuloLayout, RoundRobinAssignment) {
-  const BinLayout l = make_modulo_layout(1000, 8);
-  EXPECT_EQ(l.nbins, 8);
-  for (index_t r = 0; r < 100; ++r) EXPECT_EQ(l.binid(r), r % 8);
-}
-
-TEST(ModuloLayout, PowerOfTwoBins) {
-  const BinLayout l = make_modulo_layout(1000, 6);
-  // 6 rounds to a power of two so the mask trick works.
-  EXPECT_TRUE(l.nbins == 4 || l.nbins == 8);
-  EXPECT_EQ(l.mask, static_cast<std::uint32_t>(l.nbins - 1));
-}
-
-TEST(AdaptiveLayout, BalancesFlops) {
-  // One hub row with 10x the flop of everything else combined.
-  std::vector<nnz_t> row_flops(100, 10);
-  row_flops[50] = 10000;
-  const BinLayout l = make_adaptive_layout(row_flops, 8);
-  EXPECT_EQ(l.policy, BinPolicy::kAdaptive);
-  EXPECT_EQ(l.bounds.front(), 0);
-  EXPECT_EQ(l.bounds.back(), 100);
-  // The hub row must sit alone (or nearly) in its bin.
-  const int hub_bin = l.binid(50);
-  const index_t lo = l.bounds[static_cast<std::size_t>(hub_bin)];
-  const index_t hi = l.bounds[static_cast<std::size_t>(hub_bin) + 1];
-  EXPECT_LE(hi - lo, 2);
-}
-
-TEST(AdaptiveLayout, UniformFlopsGiveUniformBins) {
-  std::vector<nnz_t> row_flops(128, 5);
-  const BinLayout l = make_adaptive_layout(row_flops, 8);
-  EXPECT_GE(l.nbins, 6);
-  EXPECT_LE(l.nbins, 16);
-  for (index_t r = 0; r < 128; ++r) {
-    const int b = l.binid(r);
-    ASSERT_GE(b, 0);
-    ASSERT_LT(b, l.nbins);
-    ASSERT_GE(r, l.bounds[static_cast<std::size_t>(b)]);
-    ASSERT_LT(r, l.bounds[static_cast<std::size_t>(b) + 1]);
-  }
-}
-
-TEST(AdaptiveLayout, EmptyRowsCollapse) {
-  std::vector<nnz_t> row_flops(64, 0);
-  const BinLayout l = make_adaptive_layout(row_flops, 4);
-  EXPECT_GE(l.nbins, 1);
-  EXPECT_EQ(l.bounds.back(), 64);
-}
-
 TEST(AutoNbins, FollowsPaperRule) {
   const std::size_t l2 = 1024 * 1024;  // 1MB, Skylake
   // flop so small everything fits in half of L2: one bin.
@@ -109,12 +57,6 @@ TEST(AutoNbins, FollowsPaperRule) {
 TEST(AutoNbins, ClampsAtBounds) {
   EXPECT_EQ(auto_nbins(0, 1 << 20), 1);
   EXPECT_EQ(auto_nbins(nnz_t{1} << 40, 1 << 20), 1 << 16);  // upper clamp
-}
-
-TEST(BinPolicyNames, RoundTrip) {
-  EXPECT_STREQ(to_string(BinPolicy::kRange), "range");
-  EXPECT_STREQ(to_string(BinPolicy::kModulo), "modulo");
-  EXPECT_STREQ(to_string(BinPolicy::kAdaptive), "adaptive");
 }
 
 }  // namespace

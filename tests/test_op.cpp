@@ -268,6 +268,33 @@ TEST(SpGemmOpMask, PbRecordsExpandSkippedTuplesInTelemetry) {
       c, mtx::pattern_filter(reference_spgemm(p), mask, false)));
 }
 
+TEST(SpGemmOpMask, AutoCreditsExactlyTheExpandSkipThatRuns) {
+  // The selection model credits PB's estimate 1/kept_density only when
+  // the fused expand mask will engage (pb::engage_expand_mask): under
+  // kAuto for a sparse mask and under kOn, never under kOff.
+  const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 97);
+  const mtx::CsrMatrix mask = testutil::exact_er(400, 400, 3.0, 98);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  const double kept = static_cast<double>(mask.nnz()) / (400.0 * 400.0);
+  ASSERT_LE(kept, 0.05);  // sparse enough for kAuto to engage
+
+  const auto pb_estimate = [&](pb::ExpandMaskMode mode) {
+    SpGemmOp op;
+    op.mask = &mask;  // algo stays "auto"
+    op.pb.expand_mask = mode;
+    SpGemmExecutor exec;
+    RunInfo info;
+    (void)exec.run(p, op, &info);
+    return info.choice.pb_mflops;
+  };
+  const double off = pb_estimate(pb::ExpandMaskMode::kOff);
+  const double autom = pb_estimate(pb::ExpandMaskMode::kAuto);
+  const double on = pb_estimate(pb::ExpandMaskMode::kOn);
+  ASSERT_GT(off, 0.0);
+  EXPECT_DOUBLE_EQ(autom, off / kept);
+  EXPECT_DOUBLE_EQ(on, off / kept);
+}
+
 TEST(SpGemmOpMask, MaskedAcrossSemiringsAndFormats) {
   // pb masked × every built-in semiring × wide/narrow streams against the
   // semiring oracle filtered by the mask.

@@ -39,7 +39,6 @@ TEST(Config, DefaultsMatchPaper) {
   const PbConfig cfg;
   EXPECT_EQ(cfg.local_bin_bytes, 512);  // Algorithm 2 line 3
   EXPECT_EQ(cfg.nbins, 0);              // auto = Algorithm 3 line 6
-  EXPECT_EQ(cfg.policy, BinPolicy::kRange);
 }
 
 }  // namespace

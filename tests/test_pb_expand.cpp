@@ -41,12 +41,9 @@ std::multimap<std::uint64_t, value_t> brute_tuples(const Operands& ops) {
   return out;
 }
 
-class ExpandPolicy : public ::testing::TestWithParam<BinPolicy> {};
-
-TEST_P(ExpandPolicy, ProducesExactTupleMultiset) {
+TEST(Expand, ProducesExactTupleMultiset) {
   const Operands ops = er_operands(400, 4.0, 1);
   PbConfig cfg;
-  cfg.policy = GetParam();
   cfg.nbins = 8;
   cfg.validate = true;
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
@@ -74,10 +71,9 @@ TEST_P(ExpandPolicy, ProducesExactTupleMultiset) {
   EXPECT_EQ(actual, exp);
 }
 
-TEST_P(ExpandPolicy, TuplesLandInTheirBins) {
+TEST(Expand, TuplesLandInTheirBins) {
   const Operands ops = er_operands(500, 5.0, 2);
   PbConfig cfg;
-  cfg.policy = GetParam();
   cfg.nbins = 16;
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
 
@@ -95,11 +91,6 @@ TEST_P(ExpandPolicy, TuplesLandInTheirBins) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, ExpandPolicy,
-                         ::testing::Values(BinPolicy::kRange,
-                                           BinPolicy::kModulo,
-                                           BinPolicy::kAdaptive));
 
 TEST(Expand, TinyLocalBinsStillCorrect) {
   // One-tuple local bins force a flush per tuple: the degenerate path.

@@ -1,6 +1,6 @@
 // The narrow-key SoA tuple format (pb/tuple.hpp): plan-level format
 // selection, bit-identity of the narrow and wide paths across semirings
-// and bin policies, and the format boundaries — col_bits at the 32-bit
+// and bin counts, and the format boundaries — col_bits at the 32-bit
 // fit edge, single-row bins, empty bins, the wide fallback, and exact
 // cancellation — plus the per-phase API of every stream policy.
 #include <gtest/gtest.h>
@@ -47,13 +47,9 @@ TEST(PbFormat, NarrowVsWideBitIdenticalAcrossSemirings) {
   const mtx::CsrMatrix m = testutil::exact_er(400, 400, 6.0, 41);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
   for (const std::string& s : semiring_names()) {
-    for (const BinPolicy policy :
-         {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-      PbConfig cfg;
-      cfg.policy = policy;
-      cfg.nbins = 8;
-      (void)expect_formats_identical(a, m, cfg, s);
-    }
+    PbConfig cfg;
+    cfg.nbins = 8;
+    (void)expect_formats_identical(a, m, cfg, s);
   }
 }
 
@@ -197,9 +193,6 @@ TEST(PbFormat, FuzzAcrossShapesPoliciesAndSemirings) {
     PbConfig cfg;
     const int nbins_choices[] = {0, 1, 3, 17, 64};
     cfg.nbins = nbins_choices[rng.next_below(5)];
-    const BinPolicy policies[] = {BinPolicy::kRange, BinPolicy::kModulo,
-                                  BinPolicy::kAdaptive};
-    cfg.policy = policies[rng.next_below(3)];
     cfg.local_bin_bytes = rng.next_below(2) == 0 ? 16 : 512;
     const std::string semiring =
         semiring_names()[rng.next_below(semiring_names().size())];
@@ -209,21 +202,13 @@ TEST(PbFormat, FuzzAcrossShapesPoliciesAndSemirings) {
 
 TEST(PbFormat, LocalGlobalRowRoundTripsAcrossPolicies) {
   const index_t nrows = 1000;
-  const BinLayout range = make_range_layout(nrows, 8);
-  const BinLayout modulo = make_modulo_layout(nrows, 8);
-  std::vector<nnz_t> rf(static_cast<std::size_t>(nrows), 1);
-  rf[0] = 500;  // force uneven adaptive bins
-  const BinLayout adaptive = make_adaptive_layout(rf, 8);
-
-  for (const BinLayout* layout : {&range, &modulo, &adaptive}) {
-    for (index_t row = 0; row < nrows; ++row) {
-      const int bin = layout->binid(row);
-      const index_t local = layout->local_row(bin, row);
-      ASSERT_GE(local, 0);
-      ASSERT_LT(local, index_t{1} << layout->local_row_bits(nrows));
-      ASSERT_EQ(layout->global_row(bin, local), row)
-          << to_string(layout->policy) << " row " << row;
-    }
+  const BinLayout layout = make_range_layout(nrows, 8);
+  for (index_t row = 0; row < nrows; ++row) {
+    const int bin = layout.binid(row);
+    const index_t local = layout.local_row(row);
+    ASSERT_GE(local, 0);
+    ASSERT_LT(local, index_t{1} << layout.local_row_bits(nrows));
+    ASSERT_EQ(layout.global_row(bin, local), row) << "row " << row;
   }
 }
 
@@ -254,25 +239,20 @@ TEST(PbFormat, WideKvSortBitIdenticalToReferenceAcrossPolicies) {
   // deinterleaved u64/f64 SoA pair (8 B histogram reads instead of 16 B
   // record streams).  Both sorts are stable, so on exact-integer inputs
   // the forced-wide pipeline must stay bit-identical to the gold standard
-  // for every bin policy and semiring.
+  // for every semiring.
   const mtx::CsrMatrix m = testutil::exact_er(350, 350, 6.0, 61);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
   const SpGemmProblem p = SpGemmProblem::square(m);
   for (const std::string& s : semiring_names()) {
     const mtx::CsrMatrix expected = dispatch_semiring(
         s, [&]<typename S>() { return reference_spgemm_semiring<S>(p); });
-    for (const BinPolicy policy :
-         {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-      PbConfig cfg;
-      cfg.policy = policy;
-      cfg.format = FormatPolicy::kWide;
-      cfg.validate = true;
-      PbWorkspace ws;
-      const PbResult r = pb_spgemm_named(s, a, m, cfg, ws);
-      EXPECT_EQ(r.stats.format, TupleFormat::kWide);
-      EXPECT_TRUE(mtx::equal_exact(r.c, expected))
-          << s << " policy=" << static_cast<int>(policy);
-    }
+    PbConfig cfg;
+    cfg.format = FormatPolicy::kWide;
+    cfg.validate = true;
+    PbWorkspace ws;
+    const PbResult r = pb_spgemm_named(s, a, m, cfg, ws);
+    EXPECT_EQ(r.stats.format, TupleFormat::kWide);
+    EXPECT_TRUE(mtx::equal_exact(r.c, expected)) << s;
   }
 }
 
@@ -320,17 +300,13 @@ void expect_keyonly_matches_wide(const mtx::CscMatrix& a,
 TEST(PbFormatKeyOnly, BitIdenticalToWideAcrossPolicies) {
   const mtx::CsrMatrix m = testutil::exact_er(400, 400, 6.0, 44);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
-  for (const BinPolicy policy :
-       {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-    for (const int nbins : {1, 8}) {
-      PbConfig cfg;
-      cfg.policy = policy;
-      cfg.nbins = nbins;
-      // Both the explicit request and auto (pb_spgemm<BoolOrAnd> injects
-      // value_free) must land on key-only.
-      expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kKeyOnly);
-      expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kAuto);
-    }
+  for (const int nbins : {1, 8}) {
+    PbConfig cfg;
+    cfg.nbins = nbins;
+    // Both the explicit request and auto (pb_spgemm<BoolOrAnd> injects
+    // value_free) must land on key-only.
+    expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kKeyOnly);
+    expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kAuto);
   }
 }
 
@@ -513,6 +489,19 @@ TEST_P(PbStreamPhases, GenericPhasesMatchPbExecuteBitForBit) {
           EXPECT_TRUE(mtx::equal_exact(c, ref.c));
           if (use_scratch) EXPECT_GT(ws.stats().scratch_allocations, 0u);
           if (masked || accumulate) continue;
+
+          // Bins are row-ordered contiguous ranges, so bin b's survivors
+          // fill C's slots from the sum of the earlier bins' survivors on:
+          // the invariant a count-free, one-sweep convert would rely on.
+          nnz_t before = 0;
+          for (int bin = 0; bin < sym.layout.nbins; ++bin) {
+            ASSERT_EQ(c.rowptr[static_cast<std::size_t>(bin)
+                               << sym.layout.shift],
+                      before)
+                << "bin " << bin;
+            before += sc.merged[static_cast<std::size_t>(bin)];
+          }
+          ASSERT_EQ(c.nnz(), before);
 
           // The plain product against the serial reference, too.
           EXPECT_TRUE(mtx::equal_exact(

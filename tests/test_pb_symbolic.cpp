@@ -50,33 +50,29 @@ TEST(PbSymbolic, BinHomeIsAContiguousPartitionOverDetectedNodes) {
 }
 
 TEST(PbSymbolic, BinFillsPartitionFlopAndRegionsAlign) {
-  for (const BinPolicy policy :
-       {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-    const Operands ops = er_operands(700, 4.0, 2);
-    PbConfig cfg;
-    cfg.policy = policy;
-    cfg.nbins = 16;
-    const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
-    ASSERT_EQ(sym.bin_offsets.size(),
-              static_cast<std::size_t>(sym.layout.nbins) + 1);
-    ASSERT_EQ(sym.bin_fill.size(), static_cast<std::size_t>(sym.layout.nbins));
-    EXPECT_EQ(sym.bin_offsets.front(), 0);
+  const Operands ops = er_operands(700, 4.0, 2);
+  PbConfig cfg;
+  cfg.nbins = 16;
+  const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
+  ASSERT_EQ(sym.bin_offsets.size(),
+            static_cast<std::size_t>(sym.layout.nbins) + 1);
+  ASSERT_EQ(sym.bin_fill.size(), static_cast<std::size_t>(sym.layout.nbins));
+  EXPECT_EQ(sym.bin_offsets.front(), 0);
 
-    // Region starts are 64-byte aligned on both streams: 4-tuple
-    // granularity wide (4 x 16 B), 16-tuple narrow (16 x 4 B keys).
-    const nnz_t pad = sym.format == TupleFormat::kNarrow ? 16 : 4;
-    nnz_t total_fill = 0;
-    for (int bin = 0; bin < sym.layout.nbins; ++bin) {
-      const nnz_t region = sym.bin_offsets[static_cast<std::size_t>(bin) + 1] -
-                           sym.bin_offsets[static_cast<std::size_t>(bin)];
-      EXPECT_EQ(sym.bin_offsets[static_cast<std::size_t>(bin)] % pad, 0);
-      EXPECT_GE(region, sym.bin_fill[static_cast<std::size_t>(bin)]);
-      EXPECT_LT(region - sym.bin_fill[static_cast<std::size_t>(bin)], pad);
-      total_fill += sym.bin_fill[static_cast<std::size_t>(bin)];
-    }
-    EXPECT_EQ(total_fill, sym.flop);
-    EXPECT_GE(sym.bin_offsets.back(), sym.flop);
+  // Region starts are 64-byte aligned on both streams: 4-tuple
+  // granularity wide (4 x 16 B), 16-tuple narrow (16 x 4 B keys).
+  const nnz_t pad = sym.format == TupleFormat::kNarrow ? 16 : 4;
+  nnz_t total_fill = 0;
+  for (int bin = 0; bin < sym.layout.nbins; ++bin) {
+    const nnz_t region = sym.bin_offsets[static_cast<std::size_t>(bin) + 1] -
+                         sym.bin_offsets[static_cast<std::size_t>(bin)];
+    EXPECT_EQ(sym.bin_offsets[static_cast<std::size_t>(bin)] % pad, 0);
+    EXPECT_GE(region, sym.bin_fill[static_cast<std::size_t>(bin)]);
+    EXPECT_LT(region - sym.bin_fill[static_cast<std::size_t>(bin)], pad);
+    total_fill += sym.bin_fill[static_cast<std::size_t>(bin)];
   }
+  EXPECT_EQ(total_fill, sym.flop);
+  EXPECT_GE(sym.bin_offsets.back(), sym.flop);
 }
 
 TEST(PbSymbolic, HistogramMatchesBruteForce) {

@@ -5,8 +5,8 @@
 // randomly between fresh multiplies and the plan/execute path (plan once,
 // execute twice, outputs must be identical); fresh steps through the PB
 // pipeline additionally randomize the PbConfig (bin count, local-bin
-// width, binning policy, streaming stores) with validate=true, so the
-// pipeline's internal invariant checks run under fuzzed layouts.  Catches
+// width, tuple format) with validate=true, so the pipeline's internal
+// invariant checks run under fuzzed layouts.  Catches
 // interaction bugs that single-op tests cannot (pattern/value coupling,
 // empty intermediate results, shape propagation, semiring/config
 // coupling).
@@ -77,18 +77,14 @@ void expect_dense_eq(const mtx::CsrMatrix& sparse, const Dense& dense,
   }
 }
 
-// A random PbConfig: bin count, local-bin width, policy and store path all
-// vary; validate=true arms the pipeline's internal invariant checks.
+// A random PbConfig: bin count, local-bin width and tuple format all vary;
+// validate=true arms the pipeline's internal invariant checks.
 pb::PbConfig random_pb_config(mtx::SplitMix64& rng) {
   pb::PbConfig cfg;
   const int nbins_choices[] = {0, 1, 2, 8, 64};
   cfg.nbins = nbins_choices[rng.next_below(5)];
   const int width_choices[] = {16, 64, 512};
   cfg.local_bin_bytes = width_choices[rng.next_below(3)];
-  const pb::BinPolicy policies[] = {pb::BinPolicy::kRange,
-                                    pb::BinPolicy::kModulo,
-                                    pb::BinPolicy::kAdaptive};
-  cfg.policy = policies[rng.next_below(3)];
   // kKeyOnly is legal here for every semiring: requests are preferences,
   // so valued semirings fall back to the auto choice.  kF32 stays out of
   // the random chain — hadamard/add steps can grow values past the f32
@@ -98,7 +94,6 @@ pb::PbConfig random_pb_config(mtx::SplitMix64& rng) {
       pb::FormatPolicy::kAuto, pb::FormatPolicy::kWide,
       pb::FormatPolicy::kNarrow, pb::FormatPolicy::kKeyOnly};
   cfg.format = formats[rng.next_below(4)];
-  cfg.streaming_stores = rng.next_below(2) == 0;
   cfg.validate = true;
   return cfg;
 }
