@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
       alt.row(input, replan_ms, cached_ms, speedup,
               cached_stats.hit_ratio());
 
-      const nnz_t flop = pb::pb_count_flop(pa.a_csc, pa.b_csr);
+      const nnz_t flop = mtx::count_flops(pa.a_csc, pa.b_csr);
       const double one = concurrent_aggregate_mflops(pa, op, flop, 1, iters);
       const double many =
           concurrent_aggregate_mflops(pa, op, flop, nthreads, iters);

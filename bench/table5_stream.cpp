@@ -9,6 +9,7 @@
 // the point — at equal bandwidth the 8 B key-only/f32 streams move twice
 // the tuples per second of the 16 B wide stream.
 #include <cstring>
+#include <tuple>
 
 #include "bench_common.hpp"
 #include "common/aligned_buffer.hpp"
@@ -19,26 +20,31 @@ namespace {
 
 using namespace pbs;
 
-/// Best-of-reps bandwidth of a parallel copy over `n` elements of T —
-/// 2·n·sizeof(T) bytes per pass (write the stream, read it back), the
-/// Cˆ term of Eq. 4.
-template <typename T>
+/// Best-of-reps bandwidth of a parallel copy of `n` tuples whose lanes are
+/// the arrays of `Lanes` (one for AoS, key + value for SoA — each lane is
+/// copied in the same pass, as the pipeline does) — 2·n·bytes-per-tuple
+/// per pass (write the stream, read it back), the Cˆ term of Eq. 4.
+template <typename... Lanes>
 double lane_copy_gbs(std::size_t n, int reps) {
-  AlignedBuffer<T> src(n), dst(n);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    src[static_cast<std::size_t>(i)] = T{};
-  }
+  std::tuple<AlignedBuffer<Lanes>...> src{AlignedBuffer<Lanes>(n)...};
+  std::tuple<AlignedBuffer<Lanes>...> dst{AlignedBuffer<Lanes>(n)...};
+  parallel_for(Static{}, n, [&](std::size_t i) noexcept {
+    std::apply([&](auto&... lane) { ((lane[i] = {}), ...); }, src);
+  });
+  constexpr std::size_t kTupleBytes = (sizeof(Lanes) + ...);
   double best = 0;
   for (int r = 0; r < reps + 1; ++r) {  // first pass is warmup
     Timer t;
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-      dst[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(i)];
-    }
+    parallel_for(Static{}, n, [&](std::size_t i) noexcept {
+      std::apply(
+          [&](auto&... out) {
+            std::apply([&](auto&... in) { ((out[i] = in[i]), ...); }, src);
+          },
+          dst);
+    });
     const double s = t.elapsed_s();
     const double gbs =
-        s > 0 ? 2.0 * static_cast<double>(n * sizeof(T)) / s / 1e9 : 0.0;
+        s > 0 ? 2.0 * static_cast<double>(n * kTupleBytes) / s / 1e9 : 0.0;
     if (r > 0 && gbs > best) best = gbs;
   }
   return best;
@@ -63,61 +69,11 @@ std::vector<TupleStreamPoint> run_tuple_streams(std::size_t tuples, int reps) {
     out.push_back(p);
   };
   add(pb::TupleFormat::kWide, lane_copy_gbs<pb::Tuple>(tuples, reps));
-  {
-    // narrow: 4 B key lane + 8 B value lane, timed as one pass
-    AlignedBuffer<pb::narrow_key_t> ks(tuples), kd(tuples);
-    AlignedBuffer<value_t> vs(tuples), vd(tuples);
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(tuples); ++i) {
-      ks[static_cast<std::size_t>(i)] = 0;
-      vs[static_cast<std::size_t>(i)] = 0;
-    }
-    double best = 0;
-    for (int r = 0; r < reps + 1; ++r) {
-      Timer t;
-#pragma omp parallel for schedule(static)
-      for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(tuples);
-           ++i) {
-        kd[static_cast<std::size_t>(i)] = ks[static_cast<std::size_t>(i)];
-        vd[static_cast<std::size_t>(i)] = vs[static_cast<std::size_t>(i)];
-      }
-      const double s = t.elapsed_s();
-      const double gbs =
-          s > 0 ? 2.0 * static_cast<double>(tuples * pb::NarrowStream::kBytes) /
-                      s / 1e9
-                : 0.0;
-      if (r > 0 && gbs > best) best = gbs;
-    }
-    add(pb::TupleFormat::kNarrow, best);
-  }
+  add(pb::TupleFormat::kNarrow,
+      lane_copy_gbs<pb::narrow_key_t, value_t>(tuples, reps));
   add(pb::TupleFormat::kKeyOnly, lane_copy_gbs<pb::wide_key_t>(tuples, reps));
-  {
-    AlignedBuffer<pb::narrow_key_t> ks(tuples), kd(tuples);
-    AlignedBuffer<pb::f32_val_t> vs(tuples), vd(tuples);
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(tuples); ++i) {
-      ks[static_cast<std::size_t>(i)] = 0;
-      vs[static_cast<std::size_t>(i)] = 0;
-    }
-    double best = 0;
-    for (int r = 0; r < reps + 1; ++r) {
-      Timer t;
-#pragma omp parallel for schedule(static)
-      for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(tuples);
-           ++i) {
-        kd[static_cast<std::size_t>(i)] = ks[static_cast<std::size_t>(i)];
-        vd[static_cast<std::size_t>(i)] = vs[static_cast<std::size_t>(i)];
-      }
-      const double s = t.elapsed_s();
-      const double gbs =
-          s > 0
-              ? 2.0 * static_cast<double>(tuples * pb::F32Stream::kBytes) /
-                    s / 1e9
-              : 0.0;
-      if (r > 0 && gbs > best) best = gbs;
-    }
-    add(pb::TupleFormat::kNarrowF32, best);
-  }
+  add(pb::TupleFormat::kNarrowF32,
+      lane_copy_gbs<pb::narrow_key_t, pb::f32_val_t>(tuples, reps));
   return out;
 }
 

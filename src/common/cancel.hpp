@@ -86,11 +86,6 @@ class CancelToken {
     return deadline_expired();
   }
 
-  // Phase-boundary check: unthrottled.
-  bool stop_requested_now() const noexcept {
-    return cancel_requested() || deadline_expired();
-  }
-
   void throw_if_stopped() const {
     if (deadline_expired())
       throw DeadlineError("spgemm run exceeded its deadline");

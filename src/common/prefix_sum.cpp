@@ -1,9 +1,5 @@
 #include "common/prefix_sum.hpp"
 
-#include <omp.h>
-
-#include <vector>
-
 namespace pbs {
 
 nnz_t exclusive_scan_inplace(nnz_t* a, std::size_t n) {
@@ -15,50 +11,6 @@ nnz_t exclusive_scan_inplace(nnz_t* a, std::size_t n) {
   }
   a[n] = running;
   return running;
-}
-
-nnz_t exclusive_scan_inplace_parallel(nnz_t* a, std::size_t n) {
-  // A scan is bandwidth-bound; below ~64K elements the fork/join overhead
-  // dominates any speedup.
-  constexpr std::size_t kSerialCutoff = 1u << 16;
-  if (n < kSerialCutoff) return exclusive_scan_inplace(a, n);
-
-  const int nthreads = omp_get_max_threads();
-  std::vector<nnz_t> block_total(static_cast<std::size_t>(nthreads) + 1, 0);
-
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    const int nt = omp_get_num_threads();
-    const std::size_t chunk = (n + nt - 1) / nt;
-    const std::size_t lo = std::min(n, chunk * static_cast<std::size_t>(tid));
-    const std::size_t hi = std::min(n, lo + chunk);
-
-    // Pass 1: local exclusive scan of each block, remembering its total.
-    nnz_t running = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const nnz_t count = a[i];
-      a[i] = running;
-      running += count;
-    }
-    block_total[static_cast<std::size_t>(tid) + 1] = running;
-
-#pragma omp barrier
-#pragma omp single
-    {
-      for (int t = 1; t <= nt; ++t) block_total[t] += block_total[t - 1];
-    }
-
-    // Pass 2: shift each block by the sum of all preceding blocks.
-    const nnz_t offset = block_total[tid];
-    if (offset != 0) {
-      for (std::size_t i = lo; i < hi; ++i) a[i] += offset;
-    }
-  }
-
-  const nnz_t total = block_total.back();
-  a[n] = total;
-  return total;
 }
 
 nnz_t counts_to_rowptr(nnz_t* rowptr, std::size_t n) {

@@ -1,4 +1,4 @@
-// Exclusive prefix sums (scans), serial and OpenMP-parallel.
+// Exclusive prefix sums (scans).
 //
 // Scans appear on every hot path of this library: building CSR/CSC row
 // pointers, laying out the global bins from per-bin flop histograms, and
@@ -15,10 +15,6 @@ namespace pbs {
 /// (slot n ignored); on exit `a[i]` is the sum of the first i counts and
 /// `a[n]` the grand total.  Returns the total.
 nnz_t exclusive_scan_inplace(nnz_t* a, std::size_t n);
-
-/// Parallel variant (two-pass blocked scan).  Falls back to the serial scan
-/// below a size threshold where parallelism cannot pay for itself.
-nnz_t exclusive_scan_inplace_parallel(nnz_t* a, std::size_t n);
 
 /// CSR row-pointer finalization: on entry `rowptr[0] == 0` and
 /// `rowptr[r+1]` holds row r's count; on exit `rowptr` is the standard CSR

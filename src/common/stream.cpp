@@ -30,38 +30,34 @@ StreamResult run_stream(std::size_t elements, int ntimes, int threads) {
   AlignedBuffer<double> a(elements), b(elements), c(elements);
   const double scalar = 3.0;
 
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(elements); ++i) {
+  parallel_for(Static{}, elements, [&](std::size_t i) noexcept {
     a[i] = 1.0;
     b[i] = 2.0;
     c[i] = 0.0;
-  }
+  });
 
   double best_copy = 0, best_scale = 0, best_add = 0, best_triad = 0;
   Timer t;
   for (int iter = 0; iter < ntimes; ++iter) {
     t.reset();
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(elements); ++i)
-      c[i] = a[i];
+    parallel_for(Static{}, elements,
+                 [&](std::size_t i) noexcept { c[i] = a[i]; });
     best_copy = std::max(best_copy, kCopyBytes * elements / t.elapsed_s());
 
     t.reset();
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(elements); ++i)
-      b[i] = scalar * c[i];
+    parallel_for(Static{}, elements,
+                 [&](std::size_t i) noexcept { b[i] = scalar * c[i]; });
     best_scale = std::max(best_scale, kScaleBytes * elements / t.elapsed_s());
 
     t.reset();
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(elements); ++i)
-      c[i] = a[i] + b[i];
+    parallel_for(Static{}, elements,
+                 [&](std::size_t i) noexcept { c[i] = a[i] + b[i]; });
     best_add = std::max(best_add, kAddBytes * elements / t.elapsed_s());
 
     t.reset();
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(elements); ++i)
+    parallel_for(Static{}, elements, [&](std::size_t i) noexcept {
       a[i] = b[i] + scalar * c[i];
+    });
     best_triad = std::max(best_triad, kTriadBytes * elements / t.elapsed_s());
   }
 

@@ -1,11 +1,10 @@
 #include "matrix/generate.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/prefix_sum.hpp"
 
 namespace pbs::mtx {
@@ -68,8 +67,7 @@ CooMatrix generate_columnwise(index_t nrows, index_t ncols, double d,
   };
   std::vector<BlockOut> blocks(static_cast<std::size_t>(nblocks));
 
-#pragma omp parallel for schedule(dynamic, 1)
-  for (index_t blk = 0; blk < nblocks; ++blk) {
+  parallel_for(Dynamic{1}, nblocks, [&](index_t blk) {
     SplitMix64 rng(block_seed(seed, static_cast<std::uint64_t>(blk), salt));
     const index_t lo_col = blk * kColumnsPerBlock;
     const index_t hi_col = std::min<index_t>(ncols, lo_col + kColumnsPerBlock);
@@ -92,7 +90,7 @@ CooMatrix generate_columnwise(index_t nrows, index_t ncols, double d,
         out.val.push_back(rng.next_unit());
       }
     }
-  }
+  });
 
   CooMatrix coo(nrows, ncols);
   nnz_t total = 0;
@@ -145,8 +143,7 @@ CooMatrix generate_rmat(const RmatParams& p) {
   const double ab = p.a + p.b;
   const double abc = p.a + p.b + p.c;
 
-#pragma omp parallel for schedule(dynamic, 1)
-  for (nnz_t blk = 0; blk < nblocks; ++blk) {
+  parallel_for(Dynamic{1}, nblocks, [&](nnz_t blk) {
     SplitMix64 rng(
         block_seed(p.seed, static_cast<std::uint64_t>(blk), /*salt=*/0x47));
     const nnz_t lo = blk * kEdgesPerBlock;
@@ -169,7 +166,7 @@ CooMatrix generate_rmat(const RmatParams& p) {
       out.col.push_back(c);
       out.val.push_back(rng.next_unit());
     }
-  }
+  });
 
   CooMatrix coo(n, n);
   nnz_t total = 0;

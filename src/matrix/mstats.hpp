@@ -9,20 +9,33 @@
 // telemetry of every bench.
 #pragma once
 
+#include <vector>
+
 #include "matrix/csc.hpp"
 #include "matrix/csr.hpp"
 
 namespace pbs::mtx {
 
+/// Throws std::invalid_argument naming `fn` when A's column count differs
+/// from B's row count.  Every pass below walks B's rows by A's column
+/// index, so each checks this first instead of reading past b.rowptr.
+void check_inner_dims(const char* fn, index_t a_ncols, index_t b_nrows);
+
 /// flop of A·B from the outer-product view: Σ_i nnz(A(:,i)) · nnz(B(i,:)).
-/// O(k) — streams only the two pointer arrays, like the paper's Algorithm 3.
+/// O(k) — streams only the two pointer arrays, like the paper's Algorithm 3;
+/// the cheapest structural invariant of a product, which the PB plan layer
+/// also uses as its invalidation check.
 nnz_t count_flops(const CscMatrix& a, const CsrMatrix& b);
 
 /// Same value computed row-wise from two CSR operands:
 /// Σ_r Σ_{k in A(r,:)} nnz(B(k,:)).  O(nnz(A)).
 nnz_t count_flops(const CsrMatrix& a, const CsrMatrix& b);
 
-/// nnz(A·B) via a hash-set symbolic pass (row-wise, OpenMP-parallel).
+/// Per-output-row flop (row r of A·B receives Σ_{k in A(r,:)} nnz(B(k,:))
+/// products), one independent row per iteration.  O(nnz(A)).
+std::vector<nnz_t> row_flops(const CsrMatrix& a, const CsrMatrix& b);
+
+/// nnz(A·B) via a marker-array symbolic pass (row-wise, parallel).
 nnz_t symbolic_nnz(const CsrMatrix& a, const CsrMatrix& b);
 
 /// The Table VI row for squaring `a` (the paper's evaluation squares every

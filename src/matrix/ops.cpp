@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/parallel.hpp"
 #include "matrix/convert.hpp"
 
 namespace pbs::mtx {
@@ -164,25 +165,23 @@ CsrMatrix drop_diagonal(const CsrMatrix& a) {
 std::vector<value_t> spmv(const CsrMatrix& a, std::span<const value_t> x) {
   assert(static_cast<index_t>(x.size()) == a.ncols);
   std::vector<value_t> y(static_cast<std::size_t>(a.nrows), 0.0);
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (index_t r = 0; r < a.nrows; ++r) {
+  parallel_for(Dynamic{1024}, a.nrows, [&](index_t r) noexcept {
     value_t acc = 0;
     for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i)
       acc += a.vals[i] * x[a.colids[i]];
     y[r] = acc;
-  }
+  });
   return y;
 }
 
 std::vector<value_t> row_sums(const CsrMatrix& a) {
   std::vector<value_t> s(static_cast<std::size_t>(a.nrows), 0.0);
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (index_t r = 0; r < a.nrows; ++r) {
+  parallel_for(Dynamic{1024}, a.nrows, [&](index_t r) noexcept {
     value_t acc = 0;
     for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i)
       acc += a.vals[i];
     s[r] = acc;
-  }
+  });
   return s;
 }
 

@@ -25,6 +25,7 @@
 
 #include "common/aligned_buffer.hpp"
 #include "common/cancel.hpp"
+#include "common/parallel.hpp"
 #include "matrix/csc.hpp"
 #include "matrix/csr.hpp"
 #include "pb/symbolic.hpp"
@@ -78,36 +79,6 @@ inline void masked_scan(std::span<const index_t> bcols,
   }
 }
 
-// One write cursor per global bin, starting at the bin's region origin.
-inline std::vector<std::atomic<nnz_t>> bin_cursors(const SymbolicResult& sym) {
-  std::vector<std::atomic<nnz_t>> cursor(
-      static_cast<std::size_t>(sym.layout.nbins));
-  for (std::size_t bin = 0; bin < cursor.size(); ++bin)
-    cursor[bin].store(sym.bin_offsets[bin], std::memory_order_relaxed);
-  return cursor;
-}
-
-// After the expand region joins: reads each bin's cursor back as its
-// generated fill (`actual_fill`, when non-null) and, under cfg.validate,
-// checks it against the symbolic fill mark.  A masked scatter legitimately
-// stops short of the mark; an unmasked one must hit it exactly.  A
-// cancelled run leaves bins short, so it skips the check.
-inline void finish_expand(const std::vector<std::atomic<nnz_t>>& cursor,
-                          const SymbolicResult& sym, const PbConfig& cfg,
-                          const MaskSpec& emask, nnz_t* actual_fill) {
-  const bool check = cfg.validate && !(cfg.cancel != nullptr &&
-                                       cfg.cancel->stop_requested_now());
-  for (std::size_t bin = 0; bin < cursor.size(); ++bin) {
-    const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
-    if (actual_fill != nullptr) actual_fill[bin] = end - sym.bin_offsets[bin];
-    const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
-    if (check && (emask.active() ? end > mark : end != mark)) {
-      throw std::logic_error("pb_expand: bin " + std::to_string(bin) +
-                             " cursor does not meet its fill mark");
-    }
-  }
-}
-
 }  // namespace detail
 
 /// Fills `out[0 .. sym.bin_offsets.back())` with the expanded tuples of
@@ -143,72 +114,97 @@ nnz_t pb_expand(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       q, cfg.local_bin_bytes / static_cast<int>(St::kBytes) / q * q);
   const int col_bits = sym.col_bits;
   const bool masked = emask.active();
-  std::vector<std::atomic<nnz_t>> cursor = detail::bin_cursors(sym);
-  nnz_t flushes = 0;
+  // One write cursor per global bin, starting at the bin's region origin.
+  std::vector<std::atomic<nnz_t>> cursor(nbins);
+  for (std::size_t bin = 0; bin < nbins; ++bin)
+    cursor[bin].store(sym.bin_offsets[bin], std::memory_order_relaxed);
+  std::atomic<nnz_t> flushes{0};
 
-#pragma omp parallel reduction(+ : flushes)
-  {
-    // Thread-private local bins: nbins lanes of `cap` tuples in one
-    // contiguous allocation (paper: 1K bins x 512B fits comfortably in L2).
-    const std::size_t lbin_len = nbins * static_cast<std::size_t>(cap);
-    AlignedBuffer<std::byte> lbin_buf(St::bytes(lbin_len));
-    const St lbin = St::carve(lbin_buf.data(), lbin_len);
-    std::vector<int> lcnt(nbins, 0);
+  parallel_team(
+      [&](Team& team) {
+        // Thread-private local bins: nbins lanes of `cap` tuples in one
+        // contiguous allocation (paper: 1K bins x 512B fits comfortably in
+        // L2).
+        AlignedBuffer<std::byte> lbin_buf;
+        St lbin;
+        std::vector<int> lcnt;
+        team.run([&] {
+          const std::size_t lbin_len = nbins * static_cast<std::size_t>(cap);
+          lbin_buf.allocate(St::bytes(lbin_len));
+          lbin = St::carve(lbin_buf.data(), lbin_len);
+          lcnt.assign(nbins, 0);
+        });
+        nnz_t my_flushes = 0;
 
-    auto flush = [&](std::size_t bin) {
-      const int count = lcnt[bin];
-      const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-      lbin.at(static_cast<nnz_t>(bin) * cap).copy_to(out.at(pos), count);
-      lcnt[bin] = 0;
-      ++flushes;
-    };
-
-#pragma omp for schedule(guided) nowait
-    for (index_t i = 0; i < a.ncols; ++i) {
-      // Cooperative cancellation at column granularity (`break` is illegal
-      // in an omp for; skipped columns just leave their bins short, and the
-      // caller raises the typed error after the join).
-      if (stop_requested(cfg.cancel)) continue;
-      const auto arows = a.col_rows(i);
-      const auto avals = a.col_vals(i);
-      const auto bcols = b.row_cols(i);
-      const auto bvals = b.row_vals(i);
-      if (bcols.empty()) continue;
-
-      for (std::size_t ai = 0; ai < arows.size(); ++ai) {
-        const index_t r = arows[ai];
-        const value_t av = St::kHasValues ? avals[ai] : value_t{};
-        const auto bin = static_cast<std::size_t>(layout.binid(r));
-        // The row bits are constant across B(i,:): build them once.
-        const key_type rowkey = St::Codec::row_key(layout, r, col_bits);
-        const St lane = lbin.at(static_cast<nnz_t>(bin) * cap);
-        auto emit = [&](std::size_t bi) {
-          if (lcnt[bin] == cap) flush(bin);
-          lane.store(static_cast<std::size_t>(lcnt[bin]++),
-                     rowkey | static_cast<std::uint32_t>(bcols[bi]),
-                     St::kHasValues ? S::mul(av, bvals[bi]) : value_t{});
+        auto flush = [&](std::size_t bin) {
+          const int count = lcnt[bin];
+          const nnz_t pos =
+              cursor[bin].fetch_add(count, std::memory_order_relaxed);
+          lbin.at(static_cast<nnz_t>(bin) * cap).copy_to(out.at(pos), count);
+          lcnt[bin] = 0;
+          ++my_flushes;
         };
-        if (masked) {
-          const auto mrow = emask.csr->row_cols(r);
-          // Empty mask row keeps nothing: the whole B row is skipped
-          // without touching the lane (the common case on sparse masks).
-          if (mrow.empty() && !emask.complement) continue;
-          detail::masked_scan(bcols, mrow, emask.complement, emit);
-          continue;
+
+        // Columns are polled for cfg.cancel by the loop; a skipped column
+        // leaves its bins short, and the typed error follows the join.
+        team.for_each_nowait(Guided{}, a.ncols, [&](index_t i) {
+          const auto arows = a.col_rows(i);
+          const auto avals = a.col_vals(i);
+          const auto bcols = b.row_cols(i);
+          const auto bvals = b.row_vals(i);
+          if (bcols.empty()) return;
+
+          for (std::size_t ai = 0; ai < arows.size(); ++ai) {
+            const index_t r = arows[ai];
+            const value_t av = St::kHasValues ? avals[ai] : value_t{};
+            const auto bin = static_cast<std::size_t>(layout.binid(r));
+            // The row bits are constant across B(i,:): build them once.
+            const key_type rowkey = St::Codec::row_key(layout, r, col_bits);
+            const St lane = lbin.at(static_cast<nnz_t>(bin) * cap);
+            auto emit = [&](std::size_t bi) {
+              if (lcnt[bin] == cap) flush(bin);
+              lane.store(static_cast<std::size_t>(lcnt[bin]++),
+                         rowkey | static_cast<std::uint32_t>(bcols[bi]),
+                         St::kHasValues ? S::mul(av, bvals[bi]) : value_t{});
+            };
+            if (masked) {
+              const auto mrow = emask.csr->row_cols(r);
+              // Empty mask row keeps nothing: the whole B row is skipped
+              // without touching the lane (the common case on sparse
+              // masks).
+              if (mrow.empty() && !emask.complement) continue;
+              detail::masked_scan(bcols, mrow, emask.complement, emit);
+              continue;
+            }
+            for (std::size_t bi = 0; bi < bcols.size(); ++bi) emit(bi);
+          }
+        });
+
+        // Drain the partially-filled local bins (Algorithm 2, lines 15-18)
+        // without waiting for the team.  lcnt is empty when this thread's
+        // local bins could not be allocated.
+        for (std::size_t bin = 0; bin < lcnt.size(); ++bin) {
+          if (lcnt[bin] != 0) flush(bin);
         }
-        for (std::size_t bi = 0; bi < bcols.size(); ++bi) emit(bi);
-      }
-    }
+        detail::flush_fence();
+        flushes.fetch_add(my_flushes, std::memory_order_relaxed);
+      },
+      cfg.cancel);
 
-    // Drain the partially-filled local bins (Algorithm 2, lines 15-18).
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      if (lcnt[bin] != 0) flush(bin);
+  // Each bin's cursor read back is its generated fill; under cfg.validate
+  // it must meet the symbolic fill mark — exactly when unmasked, at most
+  // when the masked scatter skipped tuples.  (A cancelled run, whose bins
+  // are short, has already thrown at the join.)
+  for (std::size_t bin = 0; bin < nbins; ++bin) {
+    const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
+    if (actual_fill != nullptr) actual_fill[bin] = end - sym.bin_offsets[bin];
+    const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
+    if (cfg.validate && (masked ? end > mark : end != mark)) {
+      throw std::logic_error("pb_expand: bin " + std::to_string(bin) +
+                             " cursor does not meet its fill mark");
     }
-    detail::flush_fence();
   }
-
-  detail::finish_expand(cursor, sym, cfg, emask, actual_fill);
-  return flushes;
+  return flushes.load(std::memory_order_relaxed);
 }
 
 // Named wide and narrow forms of the phase call above.  perfbench/'s

@@ -27,21 +27,4 @@ mtx::CsrMatrix pb_build_csr_narrow(const narrow_key_t* keys,
                       cancel);
 }
 
-CsrF32 pb_build_csr_narrow_f32_native(const narrow_key_t* keys,
-                                      const f32_val_t* vals,
-                                      std::span<const nnz_t> offsets,
-                                      std::span<const nnz_t> merged,
-                                      const BinLayout& layout, int col_bits,
-                                      index_t nrows, index_t ncols) {
-  CsrF32 out;
-  out.nrows = nrows;
-  out.ncols = ncols;
-  out.rowptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
-  detail::build_csr_into(F32Stream{const_cast<narrow_key_t*>(keys),
-                                   const_cast<f32_val_t*>(vals)},
-                         offsets, merged, KeyGeometry{&layout, col_bits},
-                         nrows, out, nullptr);
-  return out;
-}
-
 }  // namespace pbs::pb

@@ -28,14 +28,14 @@
 //
 // Cancellation is polled per bin: cancelled bins are skipped (their
 // partial output is about to be discarded) and the token's typed error is
-// raised once the parallel sweeps join — throwing from inside an `omp for`
-// is illegal.
+// raised once the sweep joins (common/parallel.hpp).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/parallel.hpp"
 #include "common/prefix_sum.hpp"
 #include "matrix/csr.hpp"
 #include "pb/binning.hpp"
@@ -44,63 +44,47 @@
 
 namespace pbs::pb {
 
-/// A CSR matrix with single-precision values — the native output of a
-/// narrow-f32 plan when the caller asks for it (the default conversion
-/// widens back to the canonical f64 CsrMatrix).  Pattern arrays match
-/// mtx::CsrMatrix exactly; only the value width differs.
-struct CsrF32 {
-  index_t nrows = 0;
-  index_t ncols = 0;
-  std::vector<nnz_t> rowptr;
-  DefaultInitVector<index_t> colids;
-  DefaultInitVector<f32_val_t> vals;
-
-  [[nodiscard]] nnz_t nnz() const {
-    return rowptr.empty() ? 0 : rowptr.back();
-  }
-};
-
 namespace detail {
 
-/// The two barrier-separated sweeps of every conversion: `count_bin(bin)`
-/// adds each of the bin's rows' entry counts into out.rowptr[row + 1] —
-/// no row spans two bins, so bins share rowptr without atomics — then a
-/// prefix sum, then `scatter_bin(bin)` writes the bin's entries into
-/// their rows' final slots.  out.rowptr must hold nrows + 1 zeros.
-template <typename Out, typename CountBin, typename ScatterBin>
-void build_two_pass(int nbins, index_t nrows, Out& out, CountBin count_bin,
-                    ScatterBin scatter_bin, const CancelToken* cancel) {
-#pragma omp parallel for schedule(dynamic, 1)
-  for (int bin = 0; bin < nbins; ++bin) {
-    if (stop_requested(cancel)) continue;
-    count_bin(bin);
-  }
-  throw_if_stopped(cancel);
+/// The two sweeps of every conversion: `count_bin(bin)` adds each of the
+/// bin's rows' entry counts into out.rowptr[row + 1] — no row spans two
+/// bins, so bins share rowptr without atomics — then a prefix sum, then
+/// `scatter_bin(bin)` writes the bin's entries into their rows' final
+/// slots.  out.rowptr must hold nrows + 1 zeros.  Each sweep polls
+/// `cancel` per bin and raises its typed error after the join.
+template <typename CountBin, typename ScatterBin>
+void build_two_pass(int nbins, index_t nrows, mtx::CsrMatrix& out,
+                    CountBin count_bin, ScatterBin scatter_bin,
+                    const CancelToken* cancel) {
+  parallel_for(Dynamic{1}, nbins, count_bin, cancel);
 
   const nnz_t total =
       counts_to_rowptr(out.rowptr.data(), static_cast<std::size_t>(nrows));
   out.colids.resize(static_cast<std::size_t>(total));
   out.vals.resize(static_cast<std::size_t>(total));
 
-#pragma omp parallel for schedule(dynamic, 1)
-  for (int bin = 0; bin < nbins; ++bin) {
-    if (stop_requested(cancel)) continue;
-    scatter_bin(bin);
-  }
-  throw_if_stopped(cancel);
+  parallel_for(Dynamic{1}, nbins, scatter_bin, cancel);
 }
 
-/// Plain conversion of compressed bins into `out` (CsrMatrix, or CsrF32
-/// for the native f32 output).
-template <typename St, typename Out>
-void build_csr_into(St stream, std::span<const nnz_t> offsets,
-                    std::span<const nnz_t> merged, const KeyGeometry& geo,
-                    index_t nrows, Out& out, const CancelToken* cancel) {
+}  // namespace detail
+
+/// Builds the canonical CSR result from compressed bins.  `offsets[b]` is
+/// bin b's region origin in `stream`; `merged[b]` the number of surviving
+/// tuples at that origin.  Bin-relative keys decode through (`layout`,
+/// `col_bits`), which must be the ones the stream was expanded with
+/// (SymbolicResult::layout / col_bits); global keys need neither.
+template <TupleStreamView St>
+mtx::CsrMatrix pb_build_csr(St stream, std::span<const nnz_t> offsets,
+                            std::span<const nnz_t> merged,
+                            const BinLayout* layout, int col_bits,
+                            index_t nrows, index_t ncols,
+                            const CancelToken* cancel = nullptr) {
   using Codec = typename St::Codec;
-  using VOut = typename decltype(out.vals)::value_type;
+  const KeyGeometry geo{layout, col_bits};
+  mtx::CsrMatrix out(nrows, ncols);
   // Each sweep copies the geometry into a local: stores into colids
   // (index_t) could otherwise alias its int fields and force reloads.
-  build_two_pass(
+  detail::build_two_pass(
       static_cast<int>(merged.size()), nrows, out,
       [&](int bin) {
         const St t = stream.at(offsets[static_cast<std::size_t>(bin)]);
@@ -121,7 +105,7 @@ void build_csr_into(St stream, std::span<const nnz_t> offsets,
         const KeyGeometry g = geo;
         const nnz_t* rowptr = out.rowptr.data();
         index_t* colids = out.colids.data();
-        VOut* vals = out.vals.data();
+        value_t* vals = out.vals.data();
         nnz_t i = 0;
         while (i < n) {
           const index_t bits = Codec::row_bits(t.key(i), g);
@@ -130,31 +114,13 @@ void build_csr_into(St stream, std::span<const nnz_t> offsets,
               static_cast<std::size_t>(rowptr[static_cast<std::size_t>(row)]);
           while (i < n && Codec::row_bits(t.key(i), g) == bits) {
             colids[dst] = Codec::col(t.key(i), g);
-            vals[dst] = static_cast<VOut>(t.val(i));
+            vals[dst] = t.val(i);
             ++dst;
             ++i;
           }
         }
       },
       cancel);
-}
-
-}  // namespace detail
-
-/// Builds the canonical CSR result from compressed bins.  `offsets[b]` is
-/// bin b's region origin in `stream`; `merged[b]` the number of surviving
-/// tuples at that origin.  Bin-relative keys decode through (`layout`,
-/// `col_bits`), which must be the ones the stream was expanded with
-/// (SymbolicResult::layout / col_bits); global keys need neither.
-template <TupleStreamView St>
-mtx::CsrMatrix pb_build_csr(St stream, std::span<const nnz_t> offsets,
-                            std::span<const nnz_t> merged,
-                            const BinLayout* layout, int col_bits,
-                            index_t nrows, index_t ncols,
-                            const CancelToken* cancel = nullptr) {
-  mtx::CsrMatrix out(nrows, ncols);
-  detail::build_csr_into(stream, offsets, merged, KeyGeometry{layout, col_bits},
-                         nrows, out, cancel);
   return out;
 }
 
@@ -258,14 +224,5 @@ mtx::CsrMatrix pb_build_csr_narrow(const narrow_key_t* keys,
                                    const BinLayout& layout, int col_bits,
                                    index_t nrows, index_t ncols,
                                    const CancelToken* cancel = nullptr);
-
-/// Narrow-f32 conversion to a *native* f32 CSR — no widening pass, for
-/// callers whose whole workload is single precision.
-CsrF32 pb_build_csr_narrow_f32_native(const narrow_key_t* keys,
-                                      const f32_val_t* vals,
-                                      std::span<const nnz_t> offsets,
-                                      std::span<const nnz_t> merged,
-                                      const BinLayout& layout, int col_bits,
-                                      index_t nrows, index_t ncols);
 
 }  // namespace pbs::pb

@@ -1,6 +1,6 @@
 #include "pb/pb_spgemm_impl.hpp"
 
-#include <omp.h>
+#include <algorithm>
 
 #include "common/numa.hpp"
 #include "common/parallel.hpp"
@@ -31,7 +31,6 @@ void PbWorkspace::place_bins(std::span<const nnz_t> bin_offsets,
   const auto nbins = bin_offsets.size() - 1;
   const auto total = static_cast<std::size_t>(bin_offsets[nbins]);
   std::byte* base = buf_.data();
-  const int nthreads = max_threads();
 
   // Byte ranges of bin b in the pool: one per lane of the format's stream
   // (the AoS tuples, or the key block and, unless key-only, the value
@@ -48,24 +47,25 @@ void PbWorkspace::place_bins(std::span<const nnz_t> bin_offsets,
   // home node when that node has one in this team, any thread round-robin
   // otherwise — so the pass is race-free (TSan-clean) and the faults are
   // spread across the team even on a single node.
-  std::vector<int> thread_node(static_cast<std::size_t>(nthreads), 0);
-#pragma omp parallel num_threads(nthreads)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
+  std::vector<int> thread_node(static_cast<std::size_t>(max_threads()), 0);
+  parallel_team([&](Team& team) {
+    const auto tid = static_cast<std::size_t>(team.id());
+    const auto nthreads = static_cast<std::size_t>(team.size());
     thread_node[tid] = current_numa_node();
-#pragma omp barrier
+    team.barrier();
     int my_rank = 0;   // rank among the team's threads on my node
     int node_cnt = 0;  // how many of them there are
-    for (std::size_t t = 0; t < thread_node.size(); ++t) {
+    int max_node = 0;
+    for (std::size_t t = 0; t < nthreads; ++t) {
       if (thread_node[t] == thread_node[tid]) {
         if (t < tid) ++my_rank;
         ++node_cnt;
       }
+      max_node = std::max(max_node, thread_node[t]);
     }
-    int max_node = 0;
-    for (const int n : thread_node) max_node = std::max(max_node, n);
     std::vector<char> node_present(static_cast<std::size_t>(max_node) + 1, 0);
-    for (const int n : thread_node) node_present[static_cast<std::size_t>(n)] = 1;
+    for (std::size_t t = 0; t < nthreads; ++t)
+      node_present[static_cast<std::size_t>(thread_node[t])] = 1;
     std::size_t on_node = 0;     // bins whose home node is mine
     std::size_t homeless = 0;    // bins whose home node has no thread here
     for (std::size_t b = 0; b < nbins; ++b) {
@@ -79,14 +79,11 @@ void PbWorkspace::place_bins(std::span<const nnz_t> bin_offsets,
             my_rank) {
           touch_bin(b);
         }
-      } else {
-        if (static_cast<int>(homeless++ % static_cast<std::size_t>(nthreads)) ==
-            static_cast<int>(tid)) {
-          touch_bin(b);
-        }
+      } else if (homeless++ % nthreads == tid) {
+        touch_bin(b);
       }
     }
-  }
+  });
 }
 
 // The runtime-semiring bridge (spgemm/op.hpp): pb_spgemm_named reaches

@@ -1,6 +1,7 @@
 #include "pb/plan_impl.hpp"
 
 #include "common/cache_info.hpp"
+#include "matrix/mstats.hpp"
 #include "spgemm/op.hpp"
 
 namespace pbs::pb {
@@ -45,7 +46,7 @@ std::uint64_t structure_hash_of(const mtx::CscMatrix& a,
 
 StructureFingerprint StructureFingerprint::of(const mtx::CscMatrix& a,
                                               const mtx::CsrMatrix& b) {
-  return of(a, b, pb_count_flop(a, b));  // throws on dimension mismatch
+  return of(a, b, mtx::count_flops(a, b));  // throws on dimension mismatch
 }
 
 StructureFingerprint StructureFingerprint::of(const mtx::CscMatrix& a,

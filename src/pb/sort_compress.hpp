@@ -24,12 +24,9 @@
 // sees them and the masked output costs only its own writes.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <exception>
 #include <span>
 #include <utility>
 #include <vector>
@@ -227,91 +224,64 @@ SortCompressResult pb_sort_compress(St stream, std::span<const nnz_t> offsets,
   const auto scratch_n = static_cast<std::size_t>(max_bin);
   if (workspace != nullptr) workspace->prepare_scratch(nthreads);
 
-  // Exception safety inside the parallel region follows the ok-flag
-  // pattern: every thread ALWAYS reaches the `omp for` (a thread that
-  // skipped it would strand the team at the worksharing barrier), so
-  // failures — scratch allocation (budget/fault/OOM) or per-bin work —
-  // are caught per thread, the first one is captured, an internal abort
-  // token turns the remaining iterations into no-ops, and the exception
-  // rethrows after the join.  The abort token also links the caller's
-  // cancel token, so one per-bin poll covers both.
-  std::exception_ptr error;
-  CancelToken abort;
-  abort.link(cancel);
-  auto fail = [&] {
-#pragma omp critical(pbs_sort_compress_error)
-    {
-      if (error == nullptr) error = std::current_exception();
-    }
-    abort.request_cancel();
-  };
+  // Scratch acquisition (budget/fault/OOM) and per-bin work may throw; the
+  // team region keeps the first exception, skips the remaining bins, and
+  // rethrows it after the join — or the cancel token's typed error, which
+  // the loop polls per bin.
+  parallel_team(
+      [&](Team& team) {
+        const auto tid = static_cast<std::size_t>(team.id());
+        AlignedBuffer<std::byte> local;  // scratch when there is no workspace
+        St scratch;
+        team.run([&] {
+          if (workspace != nullptr) {
+            scratch = workspace->acquire_scratch<St>(tid, scratch_n);
+          } else {
+            local.allocate(St::bytes(scratch_n));
+            scratch = St::carve(local.data(), scratch_n);
+          }
+        });
+        Timer timer;
+        team.for_each(Dynamic{1}, nbins, [&](int bin) {
+          const St t = stream.at(offsets[static_cast<std::size_t>(bin)]);
+          const auto len =
+              static_cast<std::size_t>(fill[static_cast<std::size_t>(bin)]);
+          if (len == 0) return;
 
-#pragma omp parallel num_threads(nthreads)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    bool ok = true;
-    AlignedBuffer<std::byte> local;  // scratch when there is no workspace
-    St scratch;
-    try {
-      if (workspace != nullptr) {
-        scratch = workspace->acquire_scratch<St>(tid, scratch_n);
-      } else {
-        local.allocate(St::bytes(scratch_n));
-        scratch = St::carve(local.data(), scratch_n);
-      }
-    } catch (...) {
-      ok = false;
-      fail();
-    }
-    Timer timer;
-#pragma omp for schedule(dynamic, 1)
-    for (int bin = 0; bin < nbins; ++bin) {
-      if (!ok || abort.stop_requested()) continue;
-      const St t = stream.at(offsets[static_cast<std::size_t>(bin)]);
-      const auto len =
-          static_cast<std::size_t>(fill[static_cast<std::size_t>(bin)]);
-      if (len == 0) continue;
+          FaultInjector::on_bin();
+          timer.reset();
+          t.sort(len, scratch, scratch_n);
+          sort_busy[tid] += timer.elapsed_s();
 
-      try {
-        FaultInjector::on_bin();
-        timer.reset();
-        t.sort(len, scratch, scratch_n);
-        sort_busy[tid] += timer.elapsed_s();
-
-        timer.reset();
-        const nnz_t merged = detail::compress_bin<S>(t, len);
-        const auto move = [&](nnz_t src, nnz_t dst) {
-          t.move(static_cast<std::size_t>(src), static_cast<std::size_t>(dst));
-        };
-        nnz_t kept = merged;
-        if (mask.active()) {
-          kept = detail::mask_filter_bin(
-              merged, *mask.csr, mask.complement,
-              [&](nnz_t i) { return decode_row<Codec>(t.key(i), bin, geo); },
-              [&](nnz_t i) { return Codec::col(t.key(i), geo); }, move);
-        }
-        nnz_t final_kept = kept;
-        if (St::kHasValues && post.active()) {
-          // Row segmentation needs only the key's row bits, no decode.
-          final_kept = detail::post_op_bin(
-              kept, post,
-              [&](nnz_t i) { return Codec::row_bits(t.key(i), geo); },
-              [&](nnz_t i) { return t.val(i); },
-              [&](nnz_t i, value_t v) { t.set_val(i, v); }, move);
-        }
-        out.merged[static_cast<std::size_t>(bin)] = final_kept;
-        dropped[tid] += merged - kept;
-        pdropped[tid] += kept - final_kept;
-        compress_busy[tid] += timer.elapsed_s();
-      } catch (...) {
-        ok = false;
-        fail();
-      }
-    }
-  }
-
-  if (error != nullptr) std::rethrow_exception(error);
-  throw_if_stopped(cancel);
+          timer.reset();
+          const nnz_t merged = detail::compress_bin<S>(t, len);
+          const auto move = [&](nnz_t src, nnz_t dst) {
+            t.move(static_cast<std::size_t>(src),
+                   static_cast<std::size_t>(dst));
+          };
+          nnz_t kept = merged;
+          if (mask.active()) {
+            kept = detail::mask_filter_bin(
+                merged, *mask.csr, mask.complement,
+                [&](nnz_t i) { return decode_row<Codec>(t.key(i), bin, geo); },
+                [&](nnz_t i) { return Codec::col(t.key(i), geo); }, move);
+          }
+          nnz_t final_kept = kept;
+          if (St::kHasValues && post.active()) {
+            // Row segmentation needs only the key's row bits, no decode.
+            final_kept = detail::post_op_bin(
+                kept, post,
+                [&](nnz_t i) { return Codec::row_bits(t.key(i), geo); },
+                [&](nnz_t i) { return t.val(i); },
+                [&](nnz_t i, value_t v) { t.set_val(i, v); }, move);
+          }
+          out.merged[static_cast<std::size_t>(bin)] = final_kept;
+          dropped[tid] += merged - kept;
+          pdropped[tid] += kept - final_kept;
+          compress_busy[tid] += timer.elapsed_s();
+        });
+      },
+      cancel);
 
   out.sort_seconds = *std::max_element(sort_busy.begin(), sort_busy.end());
   out.compress_seconds =

@@ -1,9 +1,8 @@
 #include "pb/symbolic.hpp"
 
-#include <omp.h>
-
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -11,56 +10,53 @@
 #include "common/cache_info.hpp"
 #include "common/numa.hpp"
 #include "common/parallel.hpp"
-#include "common/prefix_sum.hpp"
+#include "matrix/mstats.hpp"
 #include "pb/tuple.hpp"
 
 namespace pbs::pb {
 
 namespace {
 
-// Both flop passes walk i over a.ncols reading b's row i: mismatched
-// inner dimensions must fail here, not read past b.rowptr.
-void check_inner_dims(const char* fn, const mtx::CscMatrix& a,
-                      const mtx::CsrMatrix& b) {
-  if (a.ncols != b.nrows) {
-    throw std::invalid_argument(std::string(fn) +
-                                ": inner dimensions differ (" +
-                                std::to_string(a.ncols) + " vs " +
-                                std::to_string(b.nrows) + ")");
-  }
+// The balls-into-bins estimate summed over rows: row r's flop_r products
+// fall into ncols column slots, E[distinct] ≈ ncols·(1 − exp(−flop_r/ncols)),
+// capped at the row's mask support when a plain mask is given.
+nnz_t estimate_rows(std::span<const nnz_t> row_flops, index_t ncols_i,
+                    const mtx::CsrMatrix* mask) {
+  const double ncols = static_cast<double>(ncols_i);
+  if (ncols <= 0) return 0;
+  const auto nrows = static_cast<std::int64_t>(row_flops.size());
+  const double estimate = parallel_reduce(
+      Static{}, nrows, 0.0,
+      [&](double& acc, std::int64_t r) noexcept {
+        const auto f =
+            static_cast<double>(row_flops[static_cast<std::size_t>(r)]);
+        if (f <= 0) return;
+        double e = ncols * -std::expm1(-f / ncols);
+        if (mask != nullptr) {
+          const auto cap =
+              static_cast<double>(mask->row_nnz(static_cast<index_t>(r)));
+          if (cap <= 0) return;
+          e = std::min(e, cap);
+        }
+        acc += e;
+      },
+      std::plus<>{});
+  return static_cast<nnz_t>(estimate + 0.5);
 }
 
 }  // namespace
 
-nnz_t pb_count_flop(const mtx::CscMatrix& a, const mtx::CsrMatrix& b) {
-  check_inner_dims("pb_count_flop", a, b);
-  nnz_t flop = 0;
-#pragma omp parallel for reduction(+ : flop) schedule(static)
-  for (index_t i = 0; i < a.ncols; ++i) {
-    flop += a.col_nnz(i) * b.row_nnz(i);
-  }
-  return flop;
-}
-
-std::vector<nnz_t> pb_row_flops(const mtx::CscMatrix& a,
-                                const mtx::CsrMatrix& b) {
-  check_inner_dims("pb_row_flops", a, b);
-  std::vector<nnz_t> flops(static_cast<std::size_t>(a.nrows), 0);
-#pragma omp parallel for schedule(guided)
+nnz_t pb_estimate_nnz_c(const mtx::CscMatrix& a, const mtx::CsrMatrix& b) {
+  mtx::check_inner_dims("pb_estimate_nnz_c", a.ncols, b.nrows);
+  // Row flops from the column view: a serial scatter over A's row ids
+  // (the executor, holding A in CSR, uses the row-wise mtx::row_flops).
+  std::vector<nnz_t> rf(static_cast<std::size_t>(a.nrows), 0);
   for (index_t i = 0; i < a.ncols; ++i) {
     const nnz_t weight = b.row_nnz(i);
-    if (weight == 0) continue;
-    for (const index_t r : a.col_rows(i)) {
-#pragma omp atomic
-      flops[static_cast<std::size_t>(r)] += weight;
-    }
+    for (const index_t r : a.col_rows(i))
+      rf[static_cast<std::size_t>(r)] += weight;
   }
-  return flops;
-}
-
-nnz_t pb_estimate_nnz_c(const mtx::CscMatrix& a, const mtx::CsrMatrix& b) {
-  const std::vector<nnz_t> rf = pb_row_flops(a, b);
-  return pb_estimate_nnz_c(rf, b.ncols);
+  return estimate_rows(rf, b.ncols, nullptr);
 }
 
 nnz_t pb_estimate_nnz_c_masked(std::span<const nnz_t> row_flops,
@@ -71,72 +67,39 @@ nnz_t pb_estimate_nnz_c_masked(std::span<const nnz_t> row_flops,
         std::to_string(mask.nrows) + ") differs from the product's (" +
         std::to_string(row_flops.size()) + ")");
   }
-  const double ncols = static_cast<double>(mask.ncols);
-  if (ncols <= 0) return 0;
-  const auto nrows = static_cast<std::int64_t>(row_flops.size());
-  double estimate = 0;
-#pragma omp parallel for reduction(+ : estimate) schedule(static)
-  for (std::int64_t r = 0; r < nrows; ++r) {
-    const auto f = static_cast<double>(row_flops[static_cast<std::size_t>(r)]);
-    if (f <= 0) continue;
-    const auto cap =
-        static_cast<double>(mask.row_nnz(static_cast<index_t>(r)));
-    if (cap <= 0) continue;
-    estimate += std::min(ncols * -std::expm1(-f / ncols), cap);
-  }
-  return static_cast<nnz_t>(estimate + 0.5);
+  return estimate_rows(row_flops, mask.ncols, &mask);
 }
 
-nnz_t pb_estimate_nnz_c(std::span<const nnz_t> row_flops, index_t ncols_i) {
-  const double ncols = static_cast<double>(ncols_i);
-  if (ncols <= 0) return 0;
-  const auto nrows = static_cast<std::int64_t>(row_flops.size());
-  double estimate = 0;
-#pragma omp parallel for reduction(+ : estimate) schedule(static)
-  for (std::int64_t r = 0; r < nrows; ++r) {
-    const auto f = static_cast<double>(row_flops[static_cast<std::size_t>(r)]);
-    if (f > 0) estimate += ncols * -std::expm1(-f / ncols);
-  }
-  return static_cast<nnz_t>(estimate + 0.5);
+nnz_t pb_estimate_nnz_c(std::span<const nnz_t> row_flops, index_t ncols) {
+  return estimate_rows(row_flops, ncols, nullptr);
 }
 
 namespace {
 
 // Per-bin flop histogram: every nonzero A(r, i) contributes nnz(B(i,:))
-// tuples to row r's bin.  Per-thread histograms, reduced at the end.
+// tuples to row r's bin.  One histogram per thread, summed in thread order.
 std::vector<nnz_t> bin_histogram(const mtx::CscMatrix& a,
                                  const mtx::CsrMatrix& b,
                                  const BinLayout& layout) {
   const auto nbins = static_cast<std::size_t>(layout.nbins);
-  const int nthreads = max_threads();
-  std::vector<std::vector<nnz_t>> local(
-      static_cast<std::size_t>(nthreads));
-
-#pragma omp parallel num_threads(nthreads)
-  {
-    auto& hist = local[static_cast<std::size_t>(omp_get_thread_num())];
-    hist.assign(nbins, 0);
-#pragma omp for schedule(guided)
-    for (index_t i = 0; i < a.ncols; ++i) {
-      const nnz_t weight = b.row_nnz(i);
-      if (weight == 0) continue;
-      for (const index_t r : a.col_rows(i)) {
-        hist[static_cast<std::size_t>(layout.binid(r))] += weight;
-      }
-    }
-  }
-
-  std::vector<nnz_t> total(nbins + 1, 0);
-  for (const auto& hist : local) {
-    if (hist.empty()) continue;
-    for (std::size_t bin = 0; bin < nbins; ++bin) total[bin] += hist[bin];
-  }
-  return total;  // counts in [0, nbins), slot nbins is scan scratch
+  std::vector<nnz_t> total = parallel_reduce(
+      Guided{}, a.ncols, std::vector<nnz_t>{},
+      [&](std::vector<nnz_t>& hist, index_t i) {
+        const nnz_t weight = b.row_nnz(i);
+        if (weight == 0) return;
+        if (hist.empty()) hist.assign(nbins, 0);
+        for (const index_t r : a.col_rows(i)) {
+          hist[static_cast<std::size_t>(layout.binid(r))] += weight;
+        }
+      },
+      [](std::vector<nnz_t> x, std::vector<nnz_t> y) {
+        if (x.empty()) return y;
+        for (std::size_t bin = 0; bin < y.size(); ++bin) x[bin] += y[bin];
+        return x;
+      });
+  total.resize(nbins, 0);  // no thread saw a nonzero weight
+  return total;
 }
-
-}  // namespace
-
-namespace {
 
 // Format selection.  The narrow formats fit when every bin's varying key
 // bits pack into 32; key-only carries the full 64-bit global key, so it
@@ -169,13 +132,12 @@ TupleFormat pick_format(const BinLayout& layout, index_t nrows,
 // keeps exact-zero entries structurally), so the value stream cannot be
 // dropped.  One O(nnz) scan per operand guards the key-only choice.
 bool has_stored_zero(std::span<const value_t> vals) {
-  bool found = false;
-  const auto n = static_cast<std::ptrdiff_t>(vals.size());
-#pragma omp parallel for reduction(|| : found)
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    found = found || vals[static_cast<std::size_t>(i)] == 0.0;
-  }
-  return found;
+  return parallel_reduce(
+      Static{}, vals.size(), false,
+      [&](bool& found, std::size_t i) noexcept {
+        found = found || vals[i] == 0.0;
+      },
+      [](bool x, bool y) { return x || y; });
 }
 
 }  // namespace
@@ -189,7 +151,7 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   }
 
   SymbolicResult out;
-  out.flop = hints.flop >= 0 ? hints.flop : pb_count_flop(a, b);
+  out.flop = hints.flop >= 0 ? hints.flop : mtx::count_flops(a, b);
 
   const std::size_t l2 = cfg.l2_bytes != 0 ? cfg.l2_bytes : cache_info().l2_bytes;
   const int target = cfg.nbins > 0 ? cfg.nbins : auto_nbins(out.flop, l2);
@@ -211,8 +173,7 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   }
   out.format = pick_format(out.layout, a.nrows, out.col_bits, ecfg);
 
-  std::vector<nnz_t> counts = bin_histogram(a, b, out.layout);
-  counts.pop_back();  // drop the scan-scratch slot
+  const std::vector<nnz_t> counts = bin_histogram(a, b, out.layout);
   out.bin_fill = counts;
 
   // Region layout: pad every bin to a whole number of its format's 64 B

@@ -67,19 +67,6 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                            const PbConfig& cfg,
                            const SymbolicHints& hints = {});
 
-/// flop(A·B) = Σ_i nnz(A(:,i)) · nnz(B(i,:)) — Algorithm 3 lines 1-5.
-/// O(k) over the pointer arrays only; the cheapest structural invariant of
-/// a product, which the plan layer also uses as its invalidation check.
-/// Like every flop pass here, throws std::invalid_argument when
-/// a.ncols != b.nrows.
-nnz_t pb_count_flop(const mtx::CscMatrix& a, const mtx::CsrMatrix& b);
-
-/// Per-output-row flop histogram (row r of C receives
-/// Σ_{A(r,i)≠0} nnz(B(i,:)) tuples) — feeds the compression-factor
-/// estimator.  O(nnz(A)).
-std::vector<nnz_t> pb_row_flops(const mtx::CscMatrix& a,
-                                const mtx::CsrMatrix& b);
-
 /// Estimate of nnz(C) without running the multiplication: per output row,
 /// flop_r draws into ncols(B) column slots collide like a balls-into-bins
 /// process, so E[distinct] ≈ ncols·(1 − exp(−flop_r/ncols)).  Exact in the
@@ -90,9 +77,9 @@ std::vector<nnz_t> pb_row_flops(const mtx::CscMatrix& a,
 /// the roofline-guided algorithm selection runs on (model/selection.hpp).
 nnz_t pb_estimate_nnz_c(const mtx::CscMatrix& a, const mtx::CsrMatrix& b);
 
-/// Same estimator over an already-computed pb_row_flops histogram —
-/// callers holding one (e.g. the plan layer's selection pass) skip the
-/// O(nnz(A)) recount.
+/// Same estimator over an already-computed per-row flop histogram
+/// (mtx::row_flops) — callers holding one (e.g. the executor's selection
+/// pass) skip the O(nnz(A)) recount.
 nnz_t pb_estimate_nnz_c(std::span<const nnz_t> row_flops, index_t ncols);
 
 /// Structural-only masked estimate: a plain (non-complemented) output mask

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/post_op.hpp"
 #include "matrix/csr.hpp"
 
@@ -84,37 +85,34 @@ inline void apply_post_op(mtx::CsrMatrix& c, const PostOp& op) {
   if (!op.active()) return;
   if (op.scale != 1.0) {
     const nnz_t n = c.nnz();
-#pragma omp parallel for schedule(static)
-    for (nnz_t i = 0; i < n; ++i) c.vals[i] *= op.scale;
+    parallel_for(Static{}, n,
+                 [&](nnz_t i) noexcept { c.vals[i] *= op.scale; });
   }
   if (!op.drops_entries()) return;
 
   // Pass 1: per-row selection, survivors compacted to the front of each
   // row's original segment (rows are independent — safe in parallel).
   std::vector<nnz_t> kept(static_cast<std::size_t>(c.nrows) + 1, 0);
-#pragma omp parallel
-  {
+  parallel_team([&](Team& team) {
     std::vector<std::pair<double, nnz_t>> sel;
-#pragma omp for schedule(dynamic, 64)
-    for (index_t r = 0; r < c.nrows; ++r) {
+    team.for_each(Dynamic{64}, c.nrows, [&](index_t r) {
       kept[static_cast<std::size_t>(r) + 1] = post_op_row(
           op, c.colids.data(), c.vals.data(), c.rowptr[r], c.rowptr[r + 1],
           sel);
-    }
-  }
+    });
+  });
   for (index_t r = 0; r < c.nrows; ++r) kept[r + 1] += kept[r];
 
   // Pass 2: close the gaps between rows.
   DefaultInitVector<index_t> colids(static_cast<std::size_t>(kept[c.nrows]));
   DefaultInitVector<value_t> vals(colids.size());
-#pragma omp parallel for schedule(static)
-  for (index_t r = 0; r < c.nrows; ++r) {
+  parallel_for(Static{}, c.nrows, [&](index_t r) noexcept {
     const nnz_t src = c.rowptr[r];
     const nnz_t dst = kept[r];
     const nnz_t n = kept[r + 1] - dst;
     std::copy_n(c.colids.begin() + src, n, colids.begin() + dst);
     std::copy_n(c.vals.begin() + src, n, vals.begin() + dst);
-  }
+  });
   c.rowptr = std::move(kept);
   c.colids = std::move(colids);
   c.vals = std::move(vals);

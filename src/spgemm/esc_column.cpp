@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "common/parallel.hpp"
 #include "common/prefix_sum.hpp"
 #include "common/radix_sort.hpp"
+#include "matrix/mstats.hpp"
 #include "spgemm/spgemm.hpp"
 
 namespace pbs {
@@ -32,16 +34,10 @@ mtx::CsrMatrix esc_column_spgemm(const SpGemmProblem& p) {
   const mtx::CsrMatrix& b = p.b_csr;
 
   // ---- symbolic: per-row flop, prefix-summed into slice offsets ----
-  std::vector<nnz_t> slice(static_cast<std::size_t>(a.nrows) + 1, 0);
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (index_t r = 0; r < a.nrows; ++r) {
-    nnz_t f = 0;
-    for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i)
-      f += b.row_nnz(a.colids[i]);
-    slice[r] = f;
-  }
+  std::vector<nnz_t> slice = mtx::row_flops(a, b);
+  slice.push_back(0);
   const nnz_t flop =
-      exclusive_scan_inplace_parallel(slice.data(), static_cast<std::size_t>(a.nrows));
+      exclusive_scan_inplace(slice.data(), static_cast<std::size_t>(a.nrows));
 
   // The flop-sized expansion scratch is reused across calls (cf. PbWorkspace
   // in pb/pb_spgemm.hpp) so repeated runs do not re-pay its page faults.
@@ -52,8 +48,7 @@ mtx::CsrMatrix esc_column_spgemm(const SpGemmProblem& p) {
   AlignedBuffer<EscTuple>& expanded = scratch;
 
   // ---- expand ----
-#pragma omp parallel for schedule(dynamic, 256)
-  for (index_t r = 0; r < a.nrows; ++r) {
+  parallel_for(Dynamic{256}, a.nrows, [&](index_t r) noexcept {
     nnz_t pos = slice[r];
     for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
       const index_t k = a.colids[i];
@@ -63,19 +58,15 @@ mtx::CsrMatrix esc_column_spgemm(const SpGemmProblem& p) {
             EscTuple{b.colids[j], av * b.vals[j]};
       }
     }
-  }
+  });
 
   // ---- sort + compress each row slice in place ----
   mtx::CsrMatrix out(a.nrows, b.ncols);
-#pragma omp parallel for schedule(dynamic, 256)
-  for (index_t r = 0; r < a.nrows; ++r) {
+  parallel_for(Dynamic{256}, a.nrows, [&](index_t r) {
     EscTuple* t = expanded.data() + slice[r];
     const auto len = static_cast<std::size_t>(
         slice[static_cast<std::size_t>(r) + 1] - slice[r]);
-    if (len == 0) {
-      out.rowptr[static_cast<std::size_t>(r) + 1] = 0;
-      continue;
-    }
+    if (len == 0) return;  // rowptr is zero-filled
     radix_sort(t, len, [](const EscTuple& e) {
       return static_cast<std::uint32_t>(e.col);
     });
@@ -88,17 +79,14 @@ mtx::CsrMatrix esc_column_spgemm(const SpGemmProblem& p) {
       }
     }
     out.rowptr[static_cast<std::size_t>(r) + 1] = static_cast<nnz_t>(merged + 1);
-  }
-
-  for (index_t r = 0; r < a.nrows; ++r)
-    out.rowptr[static_cast<std::size_t>(r) + 1] += out.rowptr[r];
+  });
 
   // ---- gather merged slices into the final CSR ----
-  const auto total = static_cast<std::size_t>(out.rowptr.back());
+  const auto total = static_cast<std::size_t>(counts_to_rowptr(
+      out.rowptr.data(), static_cast<std::size_t>(a.nrows)));
   out.colids.resize(total);
   out.vals.resize(total);
-#pragma omp parallel for schedule(dynamic, 256)
-  for (index_t r = 0; r < a.nrows; ++r) {
+  parallel_for(Dynamic{256}, a.nrows, [&](index_t r) noexcept {
     const EscTuple* t = expanded.data() + slice[r];
     nnz_t pos = out.rowptr[r];
     const nnz_t end = out.rowptr[static_cast<std::size_t>(r) + 1];
@@ -106,7 +94,7 @@ mtx::CsrMatrix esc_column_spgemm(const SpGemmProblem& p) {
       out.colids[static_cast<std::size_t>(out.rowptr[r] + i)] = t[i].col;
       out.vals[static_cast<std::size_t>(out.rowptr[r] + i)] = t[i].val;
     }
-  }
+  });
 
   return out;
 }

@@ -11,6 +11,7 @@
 #include "common/errors.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
+#include "matrix/mstats.hpp"
 #include "pb/expand.hpp"
 #include "pb/symbolic.hpp"
 #include "spgemm/epilogue.hpp"
@@ -388,8 +389,7 @@ struct SpGemmExecutor::Impl {
 
     std::string resolved = op.algo;
     if (entry->auto_requested) {
-      const std::vector<nnz_t> row_flops =
-          pb::pb_row_flops(p.a_csc, p.b_csr);
+      const std::vector<nnz_t> row_flops = mtx::row_flops(p.a_csr, p.b_csr);
       const nnz_t nnz_est = pb::pb_estimate_nnz_c(row_flops, p.b_csr.ncols);
       const double cf = static_cast<double>(fp.flop) /
                         static_cast<double>(std::max<nnz_t>(nnz_est, 1));

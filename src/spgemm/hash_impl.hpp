@@ -14,14 +14,14 @@
 // mask row is empty are skipped outright.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/prefix_sum.hpp"
 #include "matrix/csr.hpp"
+#include "matrix/mstats.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/spgemm.hpp"
 
@@ -37,34 +37,22 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
 
   mtx::CsrMatrix out(a.nrows, b.ncols);
 
-  // Upper bound per row (row flop, capped at ncols — and at the mask row's
-  // size for a plain mask, which also zeroes out maskless rows) for table
-  // sizing.
-  std::vector<nnz_t> row_upper(static_cast<std::size_t>(a.nrows), 0);
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (index_t r = 0; r < a.nrows; ++r) {
-    nnz_t f = 0;
-    for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i)
-      f += b.row_nnz(a.colids[i]);
-    f = std::min<nnz_t>(f, b.ncols);
-    if (kMasked && !mask.complement) {
-      f = std::min<nnz_t>(f, mask.csr->row_nnz(r));
-    }
-    row_upper[r] = f;
-  }
+  // Upper bound per row for table sizing: the row flop, which the symbolic
+  // pass caps at ncols — and at the mask row's size for a plain mask,
+  // which also zeroes out maskless rows.
+  std::vector<nnz_t> row_upper = mtx::row_flops(a, b);
 
   // ---- symbolic: exact nnz per output row ----
-#pragma omp parallel
-  {
+  parallel_team([&](Team& team) {
     Accumulator acc;
     MaskStamp stamp(mask);
-#pragma omp for schedule(dynamic, 256)
-    for (index_t r = 0; r < a.nrows; ++r) {
-      if (row_upper[r] == 0 || (kMasked && !stamp.begin_row(r))) {
-        out.rowptr[static_cast<std::size_t>(r) + 1] = 0;
-        continue;
-      }
-      acc.reset(row_upper[r]);
+    team.for_each(Dynamic{256}, a.nrows, [&](index_t r) {
+      nnz_t& upper = row_upper[r];
+      upper = std::min<nnz_t>(upper, b.ncols);
+      if (kMasked && !mask.complement)
+        upper = std::min<nnz_t>(upper, mask.csr->row_nnz(r));
+      if (upper == 0 || (kMasked && !stamp.begin_row(r))) return;  // count 0
+      acc.reset(upper);
       for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
         const index_t k = a.colids[i];
         for (nnz_t j = b.rowptr[k]; j < b.rowptr[static_cast<std::size_t>(k) + 1]; ++j) {
@@ -74,28 +62,23 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
         }
       }
       out.rowptr[static_cast<std::size_t>(r) + 1] = acc.size();
-    }
-  }
+    });
+  });
 
-  // Counts -> row pointers (inclusive running sum; rowptr[0] == 0 already).
-  for (index_t r = 0; r < a.nrows; ++r)
-    out.rowptr[static_cast<std::size_t>(r) + 1] += out.rowptr[r];
-
-  const auto total = static_cast<std::size_t>(out.rowptr.back());
+  const auto total = static_cast<std::size_t>(counts_to_rowptr(
+      out.rowptr.data(), static_cast<std::size_t>(a.nrows)));
   out.colids.resize(total);
   out.vals.resize(total);
 
   // ---- numeric: accumulate, extract, sort, write in place ----
-#pragma omp parallel
-  {
+  parallel_team([&](Team& team) {
     Accumulator acc;
     MaskStamp stamp(mask);
     std::vector<std::pair<index_t, value_t>> entries;
-#pragma omp for schedule(dynamic, 256)
-    for (index_t r = 0; r < a.nrows; ++r) {
+    team.for_each(Dynamic{256}, a.nrows, [&](index_t r) {
       const nnz_t lo = out.rowptr[r];
       const nnz_t hi = out.rowptr[static_cast<std::size_t>(r) + 1];
-      if (lo == hi || (kMasked && !stamp.begin_row(r))) continue;
+      if (lo == hi || (kMasked && !stamp.begin_row(r))) return;
       acc.reset(row_upper[r]);
       for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
         const index_t k = a.colids[i];
@@ -114,8 +97,8 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
         out.colids[static_cast<std::size_t>(lo) + i] = entries[i].first;
         out.vals[static_cast<std::size_t>(lo) + i] = entries[i].second;
       }
-    }
-  }
+    });
+  });
 
   return out;
 }

@@ -11,12 +11,8 @@
 // run's scale multiply becomes S::mul and the duplicate accumulation
 // S::add.  heap_spgemm is the numeric (+, ×) instantiation.  A fused
 // output mask (pb::MaskSpec) drops columns as they surface from the merge.
-#include <omp.h>
-
 #include <vector>
 
-#include "common/aligned_buffer.hpp"
-#include "common/parallel.hpp"
 #include "spgemm/assemble.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/op.hpp"
@@ -100,23 +96,18 @@ mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p,
   const mtx::CsrMatrix& b = p.b_csr;
   mask.check_shape(a.nrows, b.ncols, "heap_spgemm_semiring");
 
-  // Thread-private scratch reused across that thread's rows, padded to
-  // whole cache lines so neighbouring threads' slots never share one.
-  struct alignas(kCacheLineBytes) Scratch {
+  // Thread-private scratch reused across that thread's rows.
+  struct Scratch {
     explicit Scratch(const pb::MaskSpec& m) : mask(m) {}
     std::vector<Run> runs;
     RunHeap heap;
     detail::MaskStamp mask;
   };
-  // assemble_rowwise parallelizes over row blocks; scratch lives in
-  // thread-local storage keyed by omp thread id.
-  std::vector<Scratch> scratch(static_cast<std::size_t>(max_threads()),
-                               Scratch(mask));
 
   return detail::dispatch_mask(mask, [&]<bool kMasked>() {
     return detail::assemble_rowwise(
-        a.nrows, b.ncols, [&](index_t r, detail::BlockBuffer& buf) {
-          Scratch& s = scratch[static_cast<std::size_t>(omp_get_thread_num())];
+        a.nrows, b.ncols, [&]() noexcept { return Scratch(mask); },
+        [&](Scratch& s, index_t r, detail::BlockBuffer& buf) {
           if (kMasked && !s.mask.begin_row(r)) return;
           s.runs.clear();
           s.heap.reset();

@@ -1,13 +1,9 @@
 #include "spgemm/semiring.hpp"
 
-#include <omp.h>
-
 #include <cassert>
 #include <stdexcept>
 #include <vector>
 
-#include "common/aligned_buffer.hpp"
-#include "common/parallel.hpp"
 #include "spgemm/assemble.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/op.hpp"
@@ -27,22 +23,19 @@ mtx::CsrMatrix spgemm_semiring(const mtx::CsrMatrix& a,
   // only changes the combine step.  A masked-out product never reaches the
   // accumulator, so a masked row touches only O(nnz(mask(r,:))) slots, and
   // exact cancellation to S::zero() stays structural either way.  Each
-  // thread's scratch owns whole cache lines: its vector headers are
-  // written on every row, so neighbours must not share a line.
-  struct alignas(kCacheLineBytes) Scratch {
+  // thread owns one scratch for all of its rows.
+  struct Scratch {
     explicit Scratch(const pb::MaskSpec& m) : mask(m) {}
     std::vector<value_t> dense;
     std::vector<index_t> stamp;
     std::vector<index_t> touched;
     detail::MaskStamp mask;
   };
-  std::vector<Scratch> scratch(static_cast<std::size_t>(max_threads()),
-                               Scratch(mask));
 
   return detail::dispatch_mask(mask, [&]<bool kMasked>() {
     return detail::assemble_rowwise(
-        a.nrows, b.ncols, [&](index_t r, detail::BlockBuffer& buf) {
-          Scratch& s = scratch[static_cast<std::size_t>(omp_get_thread_num())];
+        a.nrows, b.ncols, [&]() noexcept { return Scratch(mask); },
+        [&](Scratch& s, index_t r, detail::BlockBuffer& buf) {
           if (kMasked && !s.mask.begin_row(r)) return;
           if (s.dense.empty()) {
             s.dense.assign(static_cast<std::size_t>(b.ncols), S::zero());

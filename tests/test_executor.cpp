@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "matrix/mstats.hpp"
 #include "matrix/ops.hpp"
 #include "model/selection.hpp"
 #include "pb/symbolic.hpp"
@@ -538,7 +539,7 @@ TEST(Executor, CalibratesItsSelectionModelAfterTheWarmup) {
 TEST(MaskedEstimate, PerRowCapSharpensTheGlobalBound) {
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 64);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const std::vector<nnz_t> rf = pb::pb_row_flops(p.a_csc, p.b_csr);
+  const std::vector<nnz_t> rf = mtx::row_flops(p.a_csr, p.b_csr);
   const nnz_t unmasked = pb::pb_estimate_nnz_c(rf, p.b_csr.ncols);
 
   const mtx::CsrMatrix sparse_mask = testutil::exact_er(300, 300, 1.5, 65);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "matrix/ops.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/executor.hpp"
@@ -184,6 +185,43 @@ TEST(CustomSemiring, WorksThroughPbSpgemmNamedWithTelemetry) {
   EXPECT_TRUE(mtx::equal_exact(
       r.c, plus_max_oracle(p)));
   EXPECT_GT(r.stats.flop, 0);
+}
+
+TEST(CustomSemiring, ThrowingMulPropagatesFromEveryKernelAndTheNextRunIsClean) {
+  // A scalar op that throws inside a kernel's parallel loop must come back
+  // to the caller as that exception (not end the process), and leave the
+  // executor serving: the next plus_times run equals a fresh executor's.
+  const char* kThrowing = "throwing_mul";
+  SemiringRegistry& reg = SemiringRegistry::instance();
+  if (!reg.contains(kThrowing)) {
+    RuntimeSemiring rs;
+    rs.name = kThrowing;
+    rs.add = [](value_t a, value_t b) { return a + b; };
+    rs.mul = [](value_t, value_t) -> value_t {
+      throw std::domain_error("mul refused");
+    };
+    reg.register_semiring(rs);
+  }
+  const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 96);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    for (const char* algo : {"pb", "heap", "hash", "spa"}) {
+      SpGemmExecutor exec;
+      SpGemmOp bad;
+      bad.semiring = kThrowing;
+      bad.algo = algo;
+      EXPECT_THROW((void)exec.run(p, bad), std::domain_error)
+          << algo << " at " << threads << " threads";
+
+      SpGemmOp good;
+      good.algo = algo;
+      const mtx::CsrMatrix after = exec.run(p, good);
+      SpGemmExecutor fresh;
+      EXPECT_TRUE(mtx::equal_exact(after, fresh.run(p, good)))
+          << algo << " at " << threads << " threads";
+    }
+  }
 }
 
 // ---- masked descriptor path -----------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 
+#include "matrix/mstats.hpp"
 #include "model/selection.hpp"
 #include "pb/plan.hpp"
 #include "spgemm/executor.hpp"
@@ -68,7 +69,7 @@ TEST(PbPlan, MismatchedInnerDimensionsThrowBeforeAnyFlopPass) {
   const mtx::CsrMatrix a = testutil::exact_er(30, 50, 3.0, 27);
   const mtx::CsrMatrix b = testutil::exact_er(20, 30, 3.0, 28);
   const SpGemmProblem p = SpGemmProblem::multiply(a, b);  // 50 vs 20 inner
-  EXPECT_THROW((void)pb::pb_count_flop(p.a_csc, p.b_csr),
+  EXPECT_THROW((void)mtx::count_flops(p.a_csc, p.b_csr),
                std::invalid_argument);
   EXPECT_THROW((void)pb::pb_estimate_nnz_c(p.a_csc, p.b_csr),
                std::invalid_argument);
@@ -135,7 +136,7 @@ TEST(PbPlan, HintsReproduceTheUnhintedPlan) {
   // optimization: identical layout, regions and format.
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 31);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const nnz_t flop = pb::pb_count_flop(p.a_csc, p.b_csr);
+  const nnz_t flop = mtx::count_flops(p.a_csc, p.b_csr);
 
   pb::PbConfig cfg;
   pb::SymbolicHints hints;

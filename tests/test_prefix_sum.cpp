@@ -42,23 +42,6 @@ TEST(ExclusiveScan, AllZeros) {
   for (const nnz_t v : a) EXPECT_EQ(v, 0);
 }
 
-class ScanSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ScanSizes, ParallelMatchesSerial) {
-  const std::size_t n = GetParam();
-  std::vector<nnz_t> serial = random_counts(n, 42);
-  std::vector<nnz_t> parallel = serial;
-  const nnz_t ts = exclusive_scan_inplace(serial.data(), n);
-  const nnz_t tp = exclusive_scan_inplace_parallel(parallel.data(), n);
-  EXPECT_EQ(ts, tp);
-  EXPECT_EQ(serial, parallel);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, ScanSizes,
-                         ::testing::Values(0, 1, 2, 5, 100, 1023, 1024,
-                                           (1u << 16) - 1, 1u << 16,
-                                           (1u << 16) + 1, 1u << 18));
-
 TEST(CountsToRowptr, BuildsCsrPointers) {
   // counts: row0=2, row1=0, row2=3
   std::vector<nnz_t> rp{0, 2, 0, 3};
